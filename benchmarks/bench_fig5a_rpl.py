@@ -96,6 +96,17 @@ def _module_report(results_dir):
     _render_report(results_dir)
 
 
+def _ratio(entries):
+    """ContrArc wall-clock over monolithic wall-clock at one n, reported
+    whichever way it goes (above 1 means the monolithic MILP is faster)."""
+    if "contrarc" not in entries or "monolithic" not in entries:
+        return None
+    (contrarc, c_time), (mono, m_time) = entries["contrarc"], entries["monolithic"]
+    if not (contrarc.is_optimal and mono.is_optimal):
+        return None
+    return round(c_time / m_time, 2)
+
+
 def _render_report(results_dir):
     """Render the Fig. 5(a) series and check the reproduction claims."""
     headers = [
@@ -103,6 +114,7 @@ def _render_report(results_dir):
         "ContrArc time",
         "ContrArc iters",
         "ArchEx-mono time",
+        "ContrArc/mono",
         "lazy time",
         "lazy iters",
         "same cost",
@@ -131,6 +143,7 @@ def _render_report(results_dir):
                 format_seconds(c_time),
                 contrarc.stats.num_iterations,
                 format_seconds(m_time),
+                _ratio(entries),
                 format_seconds(l_time)
                 + (">" if lazy and lazy.status is ExplorationStatus.TIME_LIMIT else ""),
                 lazy.stats.num_iterations if lazy else None,
@@ -164,4 +177,8 @@ def _render_report(results_dir):
         }
         for n, entries in _RESULTS.items()
     }
+    for n, entries in _RESULTS.items():
+        ratio = _ratio(entries)
+        if ratio is not None:
+            data[str(n)]["contrarc_over_monolithic"] = ratio
     report(results_dir, "fig5a_rpl.txt", text + "\n\n" + plot, data=data)

@@ -14,6 +14,19 @@ The two scalability levers of the paper map to constructor flags:
 implementation widening) and ``use_decomposition`` (path-by-path
 refinement). Table II's three scenarios are
 ``(True, False)``, ``(False, True)`` and ``(True, True)``.
+
+Cuts enter the MILP lazily (:class:`repro.explore.cut_pool.CutPool`).
+Of the cuts Algorithm 2 emits in an iteration, only those the current
+candidate violates are encoded; the rest wait in a run-scoped pool.
+Every solved candidate is checked against the pool. The sub-model
+optimum is a lower bound on the full model's, so a candidate that
+satisfies every pooled cut is optimal for the full cut set and goes on
+to refinement. A candidate that violates a pooled cut shows the pool
+binds at the cost frontier (iso images of a fragment are same-cost
+alternatives on EPN): the whole pool is encoded, the MILP re-solved in
+the same iteration, and from then on every new cut is encoded on
+emission. Rows are only ever appended, so the incremental session
+extends in place either way.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from repro.exceptions import ExplorationError, NoFeasibleArchitectureError
 from repro.arch.architecture import CandidateArchitecture
 from repro.arch.template import MappingTemplate
 from repro.explore.certificates import generate_cuts
+from repro.explore.cut_pool import CutPool
 from repro.explore.encoding import Cut, build_candidate_milp
 from repro.explore.profiling import PhaseProfiler
 from repro.explore.refinement_check import RefinementChecker, Violation
@@ -292,6 +306,14 @@ class ContrArcExplorer:
     ) -> ExplorationResult:
         last_violation: Optional[Violation] = None
         tracer = self.tracer
+
+        def phase(name):
+            return profiler.phase(name) if profiler is not None else nullcontext()
+
+        # Emitted cuts kept out of the model until a candidate violates
+        # one (see the module docstring).
+        pool = CutPool(self.mapping_template)
+        eager = False
         for index in range(1, self.max_iterations + 1):
             if (
                 self.time_limit is not None
@@ -311,41 +333,53 @@ class ContrArcExplorer:
             )
             try:
                 t0 = time.perf_counter()
-                if profiler is not None and session is None:
+                while True:
                     # Sessions attribute their own matrix_build/milp_solve
                     # split; the stateless path is all solver time.
-                    with profiler.phase("milp_solve"):
+                    with phase("milp_solve") if session is None else nullcontext():
                         solve_result = solve(model)
-                else:
-                    solve_result = solve(model)
+                    if index == 1:
+                        stats.milp_variables = model.num_variables
+                        stats.milp_constraints = model.num_constraints
+
+                    # Infeasible with a subset of the cuts is infeasible
+                    # with all of them.
+                    if solve_result.status is SolveStatus.INFEASIBLE:
+                        record.milp_time = time.perf_counter() - t0
+                        stats.record(record)
+                        return finalize(
+                            ExplorationStatus.INFEASIBLE, None, last_violation
+                        )
+                    if solve_result.status is not SolveStatus.OPTIMAL:
+                        raise ExplorationError(
+                            f"candidate MILP ended with status "
+                            f"{solve_result.status.value}: "
+                            f"{solve_result.message}"
+                        )
+                    candidate = CandidateArchitecture.from_assignment(
+                        self.mapping_template, solve_result.assignment
+                    )
+                    if not pool:
+                        break
+                    # The sub-model optimum is a lower bound on the full
+                    # model; if it satisfies every pooled cut it is the
+                    # full model's optimum too.
+                    with phase("certificate_build"):
+                        if not pool.violated_by(candidate):
+                            break
+                        # Pooled cuts bind at the cost frontier: flush
+                        # them, re-solve, and activate every later cut
+                        # on emission.
+                        for cut in pool.drain():
+                            cut_encoder.enforce(cut.formula)
+                        eager = True
                 record.milp_time = time.perf_counter() - t0
-                if index == 1:
-                    stats.milp_variables = model.num_variables
-                    stats.milp_constraints = model.num_constraints
-
-                if solve_result.status is SolveStatus.INFEASIBLE:
-                    stats.record(record)
-                    return finalize(
-                        ExplorationStatus.INFEASIBLE, None, last_violation
-                    )
-                if solve_result.status is not SolveStatus.OPTIMAL:
-                    raise ExplorationError(
-                        f"candidate MILP ended with status "
-                        f"{solve_result.status.value}: {solve_result.message}"
-                    )
-
-                candidate = CandidateArchitecture.from_assignment(
-                    self.mapping_template, solve_result.assignment
-                )
                 record.candidate_cost = candidate.cost
                 if iter_span is not None:
                     iter_span.attrs["candidate_cost"] = candidate.cost
 
                 t0 = time.perf_counter()
-                if profiler is not None:
-                    with profiler.phase("refinement"):
-                        violations = self._violations(candidate)
-                else:
+                with phase("refinement"):
                     violations = self._violations(candidate)
                 record.refinement_time = time.perf_counter() - t0
                 provenance = self.checker.last_provenance
@@ -380,12 +414,7 @@ class ContrArcExplorer:
                     )
                     iter_span.attrs["violations"] = len(violations)
                 t0 = time.perf_counter()
-                timer = (
-                    profiler.phase("certificate_build")
-                    if profiler is not None
-                    else nullcontext()
-                )
-                with timer:
+                with phase("certificate_build"):
                     added: List[Cut] = []
                     for violation in violations:
                         for cut in generate_cuts(
@@ -407,13 +436,16 @@ class ContrArcExplorer:
                                 continue
                             seen_cut_keys.add(key)
                             added.append(cut)
+                    # Activate the cuts this candidate violates (the
+                    # identity embedding's among them, so the next
+                    # solve makes progress) and pool the rest.
+                    for cut in added if eager else pool.offer(added, candidate):
+                        cut_encoder.enforce(cut.formula)
                 record.certificate_time = time.perf_counter() - t0
                 record.cuts_added = len(added)
                 if iter_span is not None:
                     iter_span.attrs["cuts_added"] = len(added)
                 cuts.extend(added)
-                for cut in added:
-                    cut_encoder.enforce(cut.formula)
                 stats.record(record)
             finally:
                 if iter_span is not None:

@@ -22,7 +22,8 @@ Phases used by the engine:
 ``embedding``
     Subgraph-isomorphism enumeration inside ``generate_cuts``.
 ``certificate_build``
-    The rest of Algorithm 2 (widening, cut assembly, encoding).
+    The rest of Algorithm 2 (widening, cut assembly, encoding), plus
+    checking each solved candidate against the lazy cut pool.
 
 Besides timed phases, the profiler keeps plain event *counters*
 (:meth:`PhaseProfiler.count`) — the engine records oracle hits/misses,

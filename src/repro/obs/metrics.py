@@ -11,12 +11,9 @@ Design constraints:
 
 * **zero dependencies** — plain dicts and lists, JSON-compatible
   snapshots;
-* **mergeable** — :meth:`Metrics.merge` folds one registry's snapshot
-  into another, so separately recorded runs aggregate exactly;
 * **fixed histogram buckets** — latency histograms share one boundary
-  vector (:data:`LATENCY_BUCKETS`), so merged histograms never need
-  re-bucketing and snapshots from different processes are positionally
-  compatible.
+  vector (:data:`LATENCY_BUCKETS`), so snapshots from different runs
+  are positionally comparable.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 #: Fixed bucket upper bounds (seconds) for solve/query latency
 #: histograms. Spans from 0.1ms to 1min; an implicit +inf overflow
-#: bucket catches the rest. Fixed boundaries keep merges positional.
+#: bucket catches the rest. Fixed boundaries keep snapshots comparable.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -119,15 +116,6 @@ class Histogram:
             "count": self.count,
         }
 
-    def merge(self, data: Mapping[str, Any]) -> None:
-        """Fold another histogram's snapshot in (bounds must agree)."""
-        if tuple(data["bounds"]) != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(data["counts"]):
-            self.counts[i] += int(c)
-        self.total += float(data["sum"])
-        self.count += int(data["count"])
-
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, mean={self.mean:.4g}s)"
 
@@ -176,23 +164,6 @@ class Metrics:
                 for name, histogram in self.histograms.items()
             },
         }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot from another registry in.
-
-        Counters and histogram slots add; gauges are last-write-wins
-        (the merged snapshot overwrites, mirroring a late ``gauge``
-        call).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name, int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram(data["bounds"])
-            histogram.merge(data)
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,10 @@
 """Persistent MILP sessions for the exploration hot loop.
 
 `ContrArcExplorer.explore()` re-solves one model per iteration, and the
-only mutation between solves is a handful of appended certificate cuts.
+only mutation between solves is appended certificate cuts: the few the
+last candidate violated, or, once a candidate violates a pooled cut,
+the whole lazy cut pool at once (:mod:`repro.explore.cut_pool`). Either
+way rows are only appended, never removed.
 A stateless backend pays the full model-construction cost every time:
 scipy's ``milp()`` rebuilds the HiGHS instance from dense matrices, and
 the native branch-and-bound restarts its search from nothing.

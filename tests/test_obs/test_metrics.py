@@ -1,4 +1,4 @@
-"""Metrics registry: buckets, merges, snapshots."""
+"""Metrics registry: buckets, snapshots."""
 
 import pytest
 
@@ -31,21 +31,6 @@ class TestHistogram:
         assert h.quantile(0.5) == 0.1
         assert h.quantile(0.99) == 10.0
 
-    def test_merge_adds_positionally(self):
-        a, b = Histogram(), Histogram()
-        a.observe(0.01)
-        b.observe(0.01)
-        b.observe(100.0)
-        a.merge(b.to_dict())
-        assert a.count == 3
-        assert a.counts[-1] == 1  # overflow slot carried over
-
-    def test_merge_rejects_different_bounds(self):
-        a = Histogram(bounds=(1.0,))
-        b = Histogram(bounds=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge(b.to_dict())
-
 
 class TestMetrics:
     def test_counters_and_gauges(self):
@@ -64,20 +49,6 @@ class TestMetrics:
         snap = m.snapshot()
         assert snap["histograms"]["lat"]["count"] == 1
         assert tuple(snap["histograms"]["lat"]["bounds"]) == LATENCY_BUCKETS
-
-    def test_merge_is_additive_for_counters_and_histograms(self):
-        parent, worker = Metrics(), Metrics()
-        parent.counter("queries", 2)
-        worker.counter("queries", 3)
-        worker.counter("only_worker")
-        parent.observe("lat", 0.01)
-        worker.observe("lat", 0.02)
-        worker.gauge("depth", 4)
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"] == {"queries": 5, "only_worker": 1}
-        assert snap["histograms"]["lat"]["count"] == 2
-        assert snap["gauges"] == {"depth": 4.0}
 
     def test_snapshot_is_json_compatible(self):
         import json

@@ -182,6 +182,12 @@ class TestWorkerSideDeadline:
         # (hard alarm cuts the stall), returns status 'timeout', and its
         # pool slot runs the next job — no abandoned future, no
         # parent-side backstop event.
+        # The budget must let the second job finish on a slow host:
+        # size it from a serial run of that job, never below 0.5s.
+        probe_started = time.perf_counter()
+        probe = Scheduler(serial=True, use_cache=False).run([_spec("only-iso")])
+        assert probe[0].status == "optimal"
+        budget = max(0.5, 3.0 * (time.perf_counter() - probe_started))
         faults.install_plan(
             [{"seam": "job", "kind": "stall", "match": "wedged",
               "seconds": 60, "dir": str(tmp_path)}]
@@ -190,7 +196,7 @@ class TestWorkerSideDeadline:
         stream = io.StringIO()
         scheduler = Scheduler(
             max_workers=1,  # one slot: the second job needs the first freed
-            timeout=0.5,
+            timeout=budget,
             timeout_grace=60.0,  # parent backstop far away: worker must act
             retries=0,
             use_cache=False,
@@ -203,8 +209,8 @@ class TestWorkerSideDeadline:
         assert results[0].status == "timeout"
         assert "hard deadline" in results[0].error
         assert results[1].status == "optimal"
-        # Cut off by the alarm (0.5s budget + 1s grace), not by the 60s
-        # stall — generous slack for pool startup on a loaded machine.
+        # Cut off by the alarm (budget + 1s grace), not by the 60s stall
+        # — generous slack for pool startup on a loaded machine.
         assert elapsed < 30.0
         events = _events(stream)
         assert not [e for e in events if e["event"] == "job_timeout"]
