@@ -12,7 +12,6 @@ from repro.explore.engine import (
     ExplorationResult,
     ExplorationStatus,
 )
-from repro.explore.profiling import PhaseProfiler
 from repro.explore.stats import ExplorationStats, IterationRecord
 from repro.explore.baseline import (
     MonolithicExplorer,
@@ -56,5 +55,4 @@ __all__ = [
     "ExplorationStatus",
     "ExplorationStats",
     "IterationRecord",
-    "PhaseProfiler",
 ]

@@ -24,7 +24,6 @@ generated cut set excludes at least the current candidate — the loop in
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.arch.architecture import CandidateArchitecture
@@ -37,6 +36,7 @@ from repro.expr.constraints import Formula, Or
 from repro.expr.terms import LinExpr
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.isomorphism import Embedding, deduplicate_embeddings
+from repro.obs.trace import Tracer
 
 
 def implementation_search(
@@ -111,16 +111,16 @@ def generate_cuts(
     max_embeddings: int = 0,
     matcher: str = "native",
     embedding_cache=None,
-    profiler=None,
+    tracer: Optional[Tracer] = None,
 ) -> List[Cut]:
     """Produce the certificate constraint set ``c`` for one violation.
 
     ``embedding_cache`` is an optional
     :class:`repro.graph.matchers.EmbeddingCache` scoped to one
     exploration run; repeated fragments then skip re-enumeration.
-    ``profiler`` is an optional
-    :class:`repro.explore.profiling.PhaseProfiler`; enumeration time is
-    charged to its ``embedding`` phase.
+    Each enumeration is an ``embedding`` phase span of ``tracer`` (the
+    exploration run's :class:`~repro.obs.trace.Tracer`; a fresh
+    sink-less one when omitted).
     """
     from repro.graph.matchers import EmbeddingCache, get_matcher
 
@@ -143,13 +143,10 @@ def generate_cuts(
             by_color: Dict[Hashable, List[NodeId]] = {}
             for node, color in colors.items():
                 by_color.setdefault(color, []).append(node)
-            timer = (
-                profiler.phase("embedding") if profiler is not None else nullcontext()
-            )
             symmetry_classes = [
                 group for group in by_color.values() if len(group) > 1
             ]
-            with timer as span:
+            with (tracer or Tracer()).phase("embedding") as span:
                 raw = get_matcher(matcher)(
                     template_graph,
                     pattern,
@@ -157,14 +154,13 @@ def generate_cuts(
                     symmetry_classes=symmetry_classes,
                 )
                 embeddings = deduplicate_embeddings(pattern, raw)
-                if span is not None:
-                    span.attrs.update(
-                        viewpoint=violation.viewpoint.name,
-                        pattern_nodes=len(pattern.nodes()),
-                        pattern_edges=len(pattern.edges()),
-                        embeddings=len(embeddings),
-                        matcher=matcher,
-                    )
+                span.attrs.update(
+                    viewpoint=violation.viewpoint.name,
+                    pattern_nodes=len(pattern.nodes()),
+                    pattern_edges=len(pattern.edges()),
+                    embeddings=len(embeddings),
+                    matcher=matcher,
+                )
             if embedding_cache is not None:
                 embedding_cache.put(cache_key, embeddings)
     else:

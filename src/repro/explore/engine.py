@@ -32,9 +32,8 @@ extends in place either way.
 from __future__ import annotations
 
 import enum
-import time
-from contextlib import nullcontext
-from typing import List, Optional, Set
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import ExplorationError, NoFeasibleArchitectureError
 from repro.arch.architecture import CandidateArchitecture
@@ -42,16 +41,60 @@ from repro.arch.template import MappingTemplate
 from repro.explore.certificates import generate_cuts
 from repro.explore.cut_pool import CutPool
 from repro.explore.encoding import Cut, build_candidate_milp
-from repro.explore.profiling import PhaseProfiler
 from repro.explore.refinement_check import RefinementChecker, Violation
 from repro.explore.stats import ExplorationStats, IterationRecord
 from repro.graph.matchers import EmbeddingCache
+from repro.obs.metrics import Metrics
+from repro.obs.trace import Tracer
 from repro.runtime.keys import formula_key
 from repro.solver.encoder import FormulaEncoder
 from repro.solver.feasibility import get_backend
-from repro.solver.result import SolveStatus
+from repro.solver.model import Model
+from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.session import IncrementalSession
 from repro.spec.base import Specification
+
+#: The phases each :class:`IterationRecord` time field sums
+#: (``embedding`` runs inside ``certificate_build``, so it is not added
+#: again).
+_RECORD_PHASES = {
+    "milp_time": ("matrix_build", "milp_solve"),
+    "refinement_time": ("refinement",),
+    "certificate_time": ("certificate_build",),
+}
+
+
+@contextmanager
+def _charge_phases(record: IterationRecord, metrics: Metrics) -> Iterator[None]:
+    """Set ``record``'s times to the phase seconds spent inside the block."""
+
+    def seconds(phases):
+        return sum(metrics.total(f"{phase}_seconds") for phase in phases)
+
+    before = {field: seconds(phases) for field, phases in _RECORD_PHASES.items()}
+    try:
+        yield
+    finally:
+        for field, phases in _RECORD_PHASES.items():
+            setattr(record, field, seconds(phases) - before[field])
+
+
+def _phase_profile(metrics: Metrics, before: Dict[str, Any]) -> Dict[str, Any]:
+    """One run's share of ``metrics``, given its snapshot at run start:
+    per-phase seconds and span counts plus the event counters."""
+    totals: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    for key, histogram in metrics.histograms.items():
+        prior = before["histograms"].get(key, {"sum": 0.0, "count": 0})
+        if histogram.count > prior["count"]:
+            name = key.removesuffix("_seconds")
+            totals[name] = histogram.total - prior["sum"]
+            counts[name] = histogram.count - prior["count"]
+    counters = {
+        name: value - before["counters"].get(name, 0)
+        for name, value in metrics.counters.items()
+    }
+    return {"totals": totals, "counts": counts, "counters": counters}
 
 
 class ExplorationStatus(enum.Enum):
@@ -142,14 +185,14 @@ class ContrArcExplorer:
         #: certificates at once instead of only the first — fewer MILP
         #: re-solves for the same final cut set.
         self.multicut = multicut
-        #: Collect a per-phase wall-clock breakdown into
-        #: ``stats.phase_profile`` (see repro.explore.profiling).
+        #: Store the run's per-phase breakdown (seconds, span counts,
+        #: event counters) in ``stats.phase_profile``.
         self.profile = profile
-        #: Optional :class:`repro.obs.trace.Tracer`. When bound, every
-        #: explore() call emits a ``run -> iteration -> phase -> query``
-        #: span tree plus a metrics snapshot through the tracer's
-        #: sinks. ``None`` (the default) keeps the hot loop entirely
-        #: span-free.
+        #: Optional :class:`repro.obs.trace.Tracer`. Every explore()
+        #: call records a ``run -> iteration -> phase -> query`` span
+        #: tree; a bound tracer also sends it, and a metrics snapshot,
+        #: to its sinks. ``None`` (the default) runs each call under a
+        #: fresh sink-less tracer.
         self.tracer = tracer
         if max_iterations < 1:
             raise ExplorationError("max_iterations must be at least 1")
@@ -185,273 +228,204 @@ class ContrArcExplorer:
             oracle=checker_oracle,
             incremental=self.incremental_verify,
         )
-        self.checker.tracer = tracer
 
     # -- main loop -------------------------------------------------------------
 
     def explore(self) -> ExplorationResult:
-        """Run the select/verify/prune loop to the optimal architecture."""
-        tracer = self.tracer
-        # The profiler exists whenever either consumer wants phase
-        # brackets: --profile for the report, the tracer for phase
-        # spans. The report is only *stored* when profile was requested.
-        profiler = (
-            PhaseProfiler(tracer=tracer)
-            if (self.profile or tracer is not None)
-            else None
-        )
+        """Run the select/verify/prune loop to the optimal architecture.
+
+        The run is timed by its phase spans only: ``self.tracer``, or a
+        fresh sink-less :class:`~repro.obs.trace.Tracer` when none is
+        bound. Per-iteration times, ``stats.total_time`` and
+        ``stats.phase_profile`` are all read back from those spans.
+        """
+        tracer = self.tracer or Tracer()
+        self.checker.tracer = tracer
+        metrics = tracer.metrics
+        metrics_before = metrics.snapshot()
+        oracle_before = self.checker.oracle.stats.to_dict()
         stats = ExplorationStats()
         cuts: List[Cut] = []
         seen_cut_keys: Set[str] = set()
-        last_violation: Optional[Violation] = None
         embedding_cache = EmbeddingCache()
-        oracle_before = (
-            self.checker.oracle.stats.to_dict()
-            if self.checker.oracle is not None
-            else None
-        )
-        run_span = None
-        if tracer is not None:
-            run_span = tracer.start_span(
-                "run",
-                attrs={
-                    "backend": self.backend,
-                    "use_isomorphism": self.use_isomorphism,
-                    "use_decomposition": self.use_decomposition,
-                    "incremental": self.incremental,
-                    "multicut": self.multicut,
-                },
-            )
-        started = time.perf_counter()
-
-        # The contract encoding never changes across iterations; build it
-        # once and keep appending certificate constraints to it.
-        model = build_candidate_milp(self.mapping_template, self.specification)
-        cut_encoder = FormulaEncoder(model, prefix="cut")
-
-        session: Optional[IncrementalSession] = None
-        if self.incremental and self.backend in ("scipy", "native"):
-            session = IncrementalSession(
-                model, backend=self.backend, profiler=profiler
-            )
-            solve = session.as_solver()
-        else:
-            solve = get_backend(self.backend)
-        if self.oracle is not None:
-            solve = self.oracle.wrap_solver(self.backend, solve)
-
-        def finalize(status, architecture=None, violation=None):
-            stats.total_time = time.perf_counter() - started
-            stats.final_milp_variables = model.num_variables
-            stats.final_milp_constraints = model.num_constraints
-            if oracle_before is not None:
-                after = self.checker.oracle.stats.to_dict()
-                delta = {
-                    key: after.get(key, 0) - oracle_before.get(key, 0)
-                    for key in ("hits", "misses", "stores", "uncacheable")
-                }
-                lookups = delta["hits"] + delta["misses"]
-                delta["hit_rate"] = delta["hits"] / lookups if lookups else 0.0
-                stats.oracle_cache = delta
-                if profiler is not None:
-                    profiler.count("oracle_hits", delta["hits"])
-                    profiler.count("oracle_misses", delta["misses"])
-                    profiler.count("oracle_stores", delta["stores"])
-            if profiler is not None:
-                profiler.count("embedding_cache_hits", embedding_cache.hits)
-                profiler.count("embedding_cache_misses", embedding_cache.misses)
-            if profiler is not None:
-                if self.profile:
-                    stats.phase_profile = profiler.report()
-            if run_span is not None:
-                run_span.attrs.update(
-                    status=status.value,
-                    cost=architecture.cost if architecture is not None else None,
-                    iterations=stats.num_iterations,
-                    cuts=stats.total_cuts,
-                )
-            return ExplorationResult(status, architecture, stats, cuts, violation)
-
-        try:
-            return self._explore_loop(
-                model,
-                cut_encoder,
-                solve,
-                session,
-                profiler,
-                stats,
-                cuts,
-                seen_cut_keys,
-                embedding_cache,
-                started,
-                finalize,
-            )
-        finally:
-            if run_span is not None:
-                tracer.end_span(run_span)
-
-    def _explore_loop(
-        self,
-        model,
-        cut_encoder,
-        solve,
-        session,
-        profiler,
-        stats,
-        cuts,
-        seen_cut_keys,
-        embedding_cache,
-        started,
-        finalize,
-    ) -> ExplorationResult:
-        last_violation: Optional[Violation] = None
-        tracer = self.tracer
-
-        def phase(name):
-            return profiler.phase(name) if profiler is not None else nullcontext()
-
         # Emitted cuts kept out of the model until a candidate violates
         # one (see the module docstring).
         pool = CutPool(self.mapping_template)
         eager = False
-        for index in range(1, self.max_iterations + 1):
-            if (
-                self.time_limit is not None
-                and time.perf_counter() - started > self.time_limit
-            ):
-                return finalize(ExplorationStatus.TIME_LIMIT, None, last_violation)
-            record = IterationRecord(index)
-            if profiler is not None:
-                profiler.begin_iteration(index)
-            # The iteration span must close before finalize() runs (the
-            # run span is the innermost open span at run end), hence the
-            # try/finally around every exit path of the body.
-            iter_span = (
-                tracer.start_span("iteration", attrs={"index": index})
-                if tracer is not None
-                else None
-            )
-            try:
-                t0 = time.perf_counter()
-                while True:
-                    # Sessions attribute their own matrix_build/milp_solve
-                    # split; the stateless path is all solver time.
-                    with phase("milp_solve") if session is None else nullcontext():
+        status = ExplorationStatus.ITERATION_LIMIT
+        architecture: Optional[CandidateArchitecture] = None
+        last_violation: Optional[Violation] = None
+        with tracer.span(
+            "run",
+            backend=self.backend,
+            use_isomorphism=self.use_isomorphism,
+            use_decomposition=self.use_decomposition,
+            incremental=self.incremental,
+            multicut=self.multicut,
+        ) as run:
+            # The contract encoding never changes across iterations; build
+            # it once and keep appending certificate constraints to it.
+            model = build_candidate_milp(self.mapping_template, self.specification)
+            cut_encoder = FormulaEncoder(model, prefix="cut")
+            solve = self._candidate_solver(model, tracer)
+            for index in range(1, self.max_iterations + 1):
+                if (
+                    self.time_limit is not None
+                    and tracer.now() - run.start > self.time_limit
+                ):
+                    status = ExplorationStatus.TIME_LIMIT
+                    break
+                record = IterationRecord(index)
+                charge = _charge_phases(record, metrics)
+                with tracer.span("iteration", index=index) as span, charge:
+                    while True:
                         solve_result = solve(model)
-                    if index == 1:
-                        stats.milp_variables = model.num_variables
-                        stats.milp_constraints = model.num_constraints
-
+                        if index == 1:
+                            stats.milp_variables = model.num_variables
+                            stats.milp_constraints = model.num_constraints
+                        if solve_result.status is not SolveStatus.OPTIMAL:
+                            break
+                        candidate = CandidateArchitecture.from_assignment(
+                            self.mapping_template, solve_result.assignment
+                        )
+                        if not pool:
+                            break
+                        # The sub-model optimum is a lower bound on the full
+                        # model; if it satisfies every pooled cut it is the
+                        # full model's optimum too.
+                        with tracer.phase("certificate_build"):
+                            if not pool.violated_by(candidate):
+                                break
+                            # Pooled cuts bind at the cost frontier: flush
+                            # them, re-solve, and activate every later cut
+                            # on emission.
+                            for cut in pool.drain():
+                                cut_encoder.enforce(cut.formula)
+                            eager = True
                     # Infeasible with a subset of the cuts is infeasible
                     # with all of them.
                     if solve_result.status is SolveStatus.INFEASIBLE:
-                        record.milp_time = time.perf_counter() - t0
                         stats.record(record)
-                        return finalize(
-                            ExplorationStatus.INFEASIBLE, None, last_violation
-                        )
+                        status = ExplorationStatus.INFEASIBLE
+                        break
                     if solve_result.status is not SolveStatus.OPTIMAL:
                         raise ExplorationError(
                             f"candidate MILP ended with status "
                             f"{solve_result.status.value}: "
                             f"{solve_result.message}"
                         )
-                    candidate = CandidateArchitecture.from_assignment(
-                        self.mapping_template, solve_result.assignment
-                    )
-                    if not pool:
+                    record.candidate_cost = candidate.cost
+                    span.attrs["candidate_cost"] = candidate.cost
+
+                    with tracer.phase("refinement"):
+                        violations = self._violations(candidate)
+                    provenance = self.checker.last_provenance
+                    if provenance is not None:
+                        record.verification = dict(provenance)
+                        span.attrs["carried"] = provenance["carried"]
+                        for key, value in provenance.items():
+                            metrics.counter(f"verify_{key}", value)
+
+                    if not violations:
+                        stats.record(record)
+                        status = ExplorationStatus.OPTIMAL
+                        architecture, last_violation = candidate, None
                         break
-                    # The sub-model optimum is a lower bound on the full
-                    # model; if it satisfies every pooled cut it is the
-                    # full model's optimum too.
-                    with phase("certificate_build"):
-                        if not pool.violated_by(candidate):
-                            break
-                        # Pooled cuts bind at the cost frontier: flush
-                        # them, re-solve, and activate every later cut
-                        # on emission.
-                        for cut in pool.drain():
+
+                    last_violation = violations[0]
+                    record.violated_viewpoint = violations[0].viewpoint.name
+                    record.violations = [
+                        {
+                            "viewpoint": violation.viewpoint.name,
+                            "path": list(violation.path) if violation.path else None,
+                        }
+                        for violation in violations
+                    ]
+                    span.attrs["violated_viewpoint"] = record.violated_viewpoint
+                    span.attrs["violations"] = len(violations)
+                    with tracer.phase("certificate_build"):
+                        added: List[Cut] = []
+                        for violation in violations:
+                            for cut in generate_cuts(
+                                self.mapping_template,
+                                candidate,
+                                violation,
+                                use_isomorphism=self.use_isomorphism,
+                                widen=self.widen_implementations,
+                                max_embeddings=self.max_embeddings,
+                                matcher=self.matcher,
+                                embedding_cache=embedding_cache,
+                                tracer=tracer,
+                            ):
+                                # Distinct (viewpoint, path) violations
+                                # often certify overlapping fragments;
+                                # keep one row per distinct cut constraint.
+                                key = formula_key(cut.formula)
+                                if key in seen_cut_keys:
+                                    continue
+                                seen_cut_keys.add(key)
+                                added.append(cut)
+                        # Activate the cuts this candidate violates (the
+                        # identity embedding's among them, so the next
+                        # solve makes progress) and pool the rest.
+                        for cut in added if eager else pool.offer(added, candidate):
                             cut_encoder.enforce(cut.formula)
-                        eager = True
-                record.milp_time = time.perf_counter() - t0
-                record.candidate_cost = candidate.cost
-                if iter_span is not None:
-                    iter_span.attrs["candidate_cost"] = candidate.cost
-
-                t0 = time.perf_counter()
-                with phase("refinement"):
-                    violations = self._violations(candidate)
-                record.refinement_time = time.perf_counter() - t0
-                provenance = self.checker.last_provenance
-                if provenance is not None:
-                    record.verification = dict(provenance)
-                    if iter_span is not None:
-                        iter_span.attrs["carried"] = provenance["carried"]
-                    if profiler is not None:
-                        profiler.count("verify_checks", provenance["checks"])
-                        profiler.count("verify_verified", provenance["verified"])
-                        profiler.count(
-                            "verify_cache_hit", provenance["cache_hit"]
-                        )
-                        profiler.count("verify_carried", provenance["carried"])
-
-                if not violations:
+                    record.cuts_added = len(added)
+                    span.attrs["cuts_added"] = len(added)
+                    cuts.extend(added)
                     stats.record(record)
-                    return finalize(ExplorationStatus.OPTIMAL, candidate)
 
-                last_violation = violations[0]
-                record.violated_viewpoint = violations[0].viewpoint.name
-                record.violations = [
-                    {
-                        "viewpoint": violation.viewpoint.name,
-                        "path": list(violation.path) if violation.path else None,
-                    }
-                    for violation in violations
-                ]
-                if iter_span is not None:
-                    iter_span.attrs["violated_viewpoint"] = (
-                        record.violated_viewpoint
-                    )
-                    iter_span.attrs["violations"] = len(violations)
-                t0 = time.perf_counter()
-                with phase("certificate_build"):
-                    added: List[Cut] = []
-                    for violation in violations:
-                        for cut in generate_cuts(
-                            self.mapping_template,
-                            candidate,
-                            violation,
-                            use_isomorphism=self.use_isomorphism,
-                            widen=self.widen_implementations,
-                            max_embeddings=self.max_embeddings,
-                            matcher=self.matcher,
-                            embedding_cache=embedding_cache,
-                            profiler=profiler,
-                        ):
-                            # Distinct (viewpoint, path) violations often
-                            # certify overlapping fragments; keep one row
-                            # per distinct cut constraint.
-                            key = formula_key(cut.formula)
-                            if key in seen_cut_keys:
-                                continue
-                            seen_cut_keys.add(key)
-                            added.append(cut)
-                    # Activate the cuts this candidate violates (the
-                    # identity embedding's among them, so the next
-                    # solve makes progress) and pool the rest.
-                    for cut in added if eager else pool.offer(added, candidate):
-                        cut_encoder.enforce(cut.formula)
-                record.certificate_time = time.perf_counter() - t0
-                record.cuts_added = len(added)
-                if iter_span is not None:
-                    iter_span.attrs["cuts_added"] = len(added)
-                cuts.extend(added)
-                stats.record(record)
-            finally:
-                if iter_span is not None:
-                    tracer.end_span(iter_span)
+            stats.final_milp_variables = model.num_variables
+            stats.final_milp_constraints = model.num_constraints
+            oracle_after = self.checker.oracle.stats.to_dict()
+            delta = {
+                key: oracle_after.get(key, 0) - oracle_before.get(key, 0)
+                for key in ("hits", "misses", "stores", "uncacheable")
+            }
+            lookups = delta["hits"] + delta["misses"]
+            delta["hit_rate"] = delta["hits"] / lookups if lookups else 0.0
+            stats.oracle_cache = delta
+            for key in ("hits", "misses", "stores"):
+                metrics.counter(f"oracle_{key}", delta[key])
+            metrics.counter("embedding_cache_hits", embedding_cache.hits)
+            metrics.counter("embedding_cache_misses", embedding_cache.misses)
+            run.attrs.update(
+                status=status.value,
+                cost=architecture.cost if architecture is not None else None,
+                iterations=stats.num_iterations,
+                cuts=stats.total_cuts,
+            )
+        stats.total_time = run.duration
+        if self.profile:
+            stats.phase_profile = _phase_profile(metrics, metrics_before)
+        return ExplorationResult(status, architecture, stats, cuts, last_violation)
 
-        return finalize(ExplorationStatus.ITERATION_LIMIT, None, last_violation)
+    def _candidate_solver(
+        self, model: Model, tracer: Tracer
+    ) -> Callable[[Model], SolveResult]:
+        """Problem 2's solve function, memoized by the oracle if any.
+
+        An incremental session times its own ``matrix_build`` /
+        ``milp_solve`` split; a stateless backend's whole call, oracle
+        lookup included, is one ``milp_solve`` phase.
+        """
+        incremental = self.incremental and self.backend in ("scipy", "native")
+        if incremental:
+            session = IncrementalSession(model, backend=self.backend)
+            session.tracer = tracer
+            solve = session.as_solver()
+        else:
+            solve = get_backend(self.backend)
+        if self.oracle is not None:
+            solve = self.oracle.wrap_solver(self.backend, solve)
+        if incremental:
+            return solve
+
+        def timed(model: Model) -> SolveResult:
+            with tracer.phase("milp_solve"):
+                return solve(model)
+
+        return timed
 
     def _violations(self, candidate: CandidateArchitecture) -> List[Violation]:
         """All violations (multi-cut mode) or at most the first one."""

@@ -44,6 +44,7 @@ from repro.explore.incremental import (
     new_counts,
 )
 from repro.graph.paths import all_source_sink_paths
+from repro.obs.trace import Tracer
 from repro.spec.base import Specification, ViewpointSpec
 
 
@@ -120,10 +121,10 @@ class RefinementChecker:
         #: candidate MILP already enforces every component assumption, so
         #: only guarantee containment is informative here (see DESIGN.md).
         self.check_assumptions = check_assumptions
-        #: Optional :class:`repro.obs.trace.Tracer` (bound by the engine).
-        #: When set, every plan entry emits a ``refinement_check`` span
+        #: The :class:`repro.obs.trace.Tracer` (the engine binds its
+        #: run's): every plan entry emits a ``refinement_check`` span
         #: keyed by its plan index.
-        self.tracer = None
+        self.tracer = Tracer()
         # Contract generation is pure in (spec, component/path); cache the
         # unsubstituted contracts across iterations.
         self._component_cache: Dict[tuple, Contract] = {}
@@ -166,27 +167,15 @@ class RefinementChecker:
             yield from self._iter_violations_incremental(candidate)
             return
         self.last_provenance = None
-        tracer = self.tracer
         for index, check in enumerate(self.candidate_plan(candidate)):
-            span = None
-            if tracer is not None:
-                span = tracer.start_span(
-                    "refinement_check",
-                    seq=index,
-                    attrs=self._check_attrs(check),
-                )
-                hits_before = self.oracle.stats.hits if self.oracle else 0
-            try:
+            hits_before = self.oracle.stats.hits if self.oracle else 0
+            with self.tracer.span(
+                "refinement_check", seq=index, **self._span_attrs(check)
+            ) as span:
                 result = self._check_entry(check)
-                if span is not None:
-                    span.attrs["holds"] = bool(result)
-            finally:
-                if span is not None:
-                    if self.oracle is not None:
-                        span.attrs["cache_hit"] = (
-                            self.oracle.stats.hits > hits_before
-                        )
-                    tracer.end_span(span)
+                span.attrs["holds"] = bool(result)
+                if self.oracle is not None:
+                    span.attrs["cache_hit"] = self.oracle.stats.hits > hits_before
             if not result:
                 yield self.violation_for(candidate, check, result)
 
@@ -208,18 +197,12 @@ class RefinementChecker:
         committed: Dict[tuple, tuple] = {}
         counts = new_counts(len(entries))
         failed: List[Tuple[PlanEntry, RefinementResult]] = []
-        tracer = self.tracer
         for index, entry in enumerate(entries):
             fingerprint = self.slicer.fingerprint(entry, values, paths)
             prior = self.delta.match(entry.pair_id, fingerprint)
-            span = None
-            if tracer is not None:
-                span = tracer.start_span(
-                    "refinement_check",
-                    seq=index,
-                    attrs=self._entry_attrs(entry),
-                )
-            try:
+            with self.tracer.span(
+                "refinement_check", seq=index, **self._span_attrs(entry)
+            ) as span:
                 if prior is not None:
                     result = prior
                     provenance = CARRIED
@@ -231,13 +214,11 @@ class RefinementChecker:
                         CACHE_HIT if self._all_hits_since(before) else VERIFIED
                     )
                 counts[provenance] += 1
-                if span is not None:
-                    span.attrs["holds"] = bool(result)
-                    span.attrs["provenance"] = provenance
-                    span.attrs["cache_hit"] = provenance == CACHE_HIT
-            finally:
-                if span is not None:
-                    tracer.end_span(span)
+                span.attrs.update(
+                    holds=bool(result),
+                    provenance=provenance,
+                    cache_hit=provenance == CACHE_HIT,
+                )
             committed[entry.pair_id] = (fingerprint, result)
             if not result:
                 failed.append((entry, result))
@@ -268,16 +249,9 @@ class RefinementChecker:
         return self.oracle is not None and self._oracle_progress() == before
 
     @staticmethod
-    def _check_attrs(check: "RefinementCheck") -> Dict[str, object]:
-        """The span attributes identifying one plan entry."""
-        return {
-            "viewpoint": check.spec.name,
-            "path": "->".join(check.path) if check.path else None,
-        }
-
-    @staticmethod
-    def _entry_attrs(entry: PlanEntry) -> Dict[str, object]:
-        """Span attributes of an outline entry (same shape as a check's)."""
+    def _span_attrs(entry) -> Dict[str, object]:
+        """The span attributes identifying one plan entry (a
+        :class:`RefinementCheck` or an outline :class:`PlanEntry`)."""
         return {
             "viewpoint": entry.spec.name,
             "path": "->".join(entry.path) if entry.path else None,

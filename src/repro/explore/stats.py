@@ -6,7 +6,13 @@ from typing import Any, Dict, List, Optional
 
 
 class IterationRecord:
-    """What happened in one candidate-select/refine/prune round."""
+    """What happened in one candidate-select/refine/prune round.
+
+    The three times sum the iteration's phase spans: ``milp_time`` is
+    ``matrix_build`` + ``milp_solve``, ``refinement_time`` is
+    ``refinement`` and ``certificate_time`` is ``certificate_build``
+    (its nested ``embedding`` spans included once).
+    """
 
     __slots__ = (
         "index",
@@ -98,6 +104,7 @@ class ExplorationStats:
 
     def __init__(self) -> None:
         self.iterations: List[IterationRecord] = []
+        #: Duration of the run's ``run`` span.
         self.total_time: float = 0.0
         #: Model size at iteration 1, before any certificate cuts.
         self.milp_variables: int = 0
@@ -107,8 +114,9 @@ class ExplorationStats:
         self.final_milp_variables: int = 0
         self.final_milp_constraints: int = 0
         self.total_cuts: int = 0
-        #: Per-phase wall-clock breakdown when the run was profiled
-        #: (see :class:`repro.explore.profiling.PhaseProfiler.report`).
+        #: Per-phase breakdown when the run was profiled: ``{"totals":
+        #: seconds, "counts": spans, "counters": events}``, the run's
+        #: delta of its tracer's metrics.
         self.phase_profile: Optional[Dict[str, Any]] = None
         #: Oracle cache hit/miss/store/uncacheable totals for this run
         #: (the engine records the per-run delta of the checker's
@@ -151,7 +159,7 @@ class ExplorationStats:
         self.iterations.append(record)
         self.total_cuts += record.cuts_added
 
-    def to_dict(self, include_iterations: bool = True) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """One serialization path for telemetry and reporting.
 
         The aggregate wall-clock totals (overall and per phase) are
@@ -177,8 +185,7 @@ class ExplorationStats:
         verification = self.verification
         if verification is not None:
             data["verification"] = verification
-        if include_iterations:
-            data["iterations"] = [r.to_dict() for r in self.iterations]
+        data["iterations"] = [r.to_dict() for r in self.iterations]
         return data
 
     @classmethod
@@ -193,10 +200,6 @@ class ExplorationStats:
         stats.final_milp_constraints = data.get("final_milp_constraints", 0)
         stats.phase_profile = data.get("phase_profile")
         stats.oracle_cache = data.get("oracle_cache")
-        # total_cuts was re-accumulated by record(); trust the explicit
-        # figure when the iteration rows were elided.
-        if "total_cuts" in data and not data.get("iterations"):
-            stats.total_cuts = data["total_cuts"]
         return stats
 
     def __repr__(self) -> str:

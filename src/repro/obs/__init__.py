@@ -23,11 +23,13 @@ refinement checking, certificate generation); this package gives them
 The dashboard and diff modules are imported lazily by the CLI — this
 package's eager surface stays limited to tracing and metrics.
 
-Enable with ``--trace PATH [--trace-format {jsonl,chrome}]`` on the
+Every exploration runs under a :class:`Tracer`: its phase spans are
+the only timer behind ``stats`` and ``--profile``. Without a bound
+tracer the engine uses a sink-less one; ``--trace PATH
+[--trace-format {jsonl,chrome}]`` on the
 ``rpl``/``epn``/``wsn``/``table2``/``sweep`` commands, or
-programmatically via ``ContrArcExplorer(..., tracer=Tracer(...))``.
-Tracing is strictly opt-in: with no tracer bound, the exploration path
-does not construct a single span.
+``ContrArcExplorer(..., tracer=Tracer(...))``, adds sinks that record
+the spans and the metrics snapshot.
 """
 
 from repro.obs.metrics import LATENCY_BUCKETS, Histogram, Metrics

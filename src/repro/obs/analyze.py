@@ -6,8 +6,8 @@ performance work keeps asking:
 
 * **per-phase totals** — where the run's wall-clock went, per phase
   span name (with p50/p95/p99 latency estimates from the
-  ``<phase>_seconds`` histograms); agrees with the in-process
-  ``PhaseProfiler`` totals because both bracket the same code;
+  ``<phase>_seconds`` histograms); equal to the run's
+  ``stats.phase_profile`` totals, which are read from the same spans;
 * **per-iteration critical path** — the MILP / refinement /
   certificate split per iteration, plus the share of the iteration not
   covered by any phase span;
@@ -38,8 +38,8 @@ from repro.obs.metrics import Histogram
 from repro.reporting.tables import format_seconds, render_table
 from repro.runtime.telemetry import TruncatedJournalWarning
 
-#: Span names whose intervals are phase brackets (mirrors
-#: repro.explore.profiling's phase vocabulary).
+#: Span names whose intervals are phase brackets (the ``kind="phase"``
+#: spans opened by the exploration loop).
 PHASE_NAMES = (
     "matrix_build",
     "milp_solve",
@@ -285,7 +285,7 @@ class Analysis:
 
 
 def phase_totals(trace: Trace) -> Dict[str, Tuple[float, int]]:
-    """Per-phase (total seconds, call count), like PhaseProfiler.totals."""
+    """Per-phase (total seconds, call count), like ``stats.phase_profile``."""
     totals: Dict[str, Tuple[float, int]] = {}
     for span in trace.spans:
         if span["name"] in PHASE_NAMES:

@@ -1,11 +1,12 @@
 """Run-scoped metrics registry: counters, gauges, latency histograms.
 
-One :class:`Metrics` instance lives per traced run (usually owned by a
-:class:`repro.obs.trace.Tracer`) and subsumes the ad-hoc counters that
-used to be scattered over the exploration stack: the
-:class:`~repro.explore.profiling.PhaseProfiler` event counters and the
-:class:`~repro.runtime.oracle.OracleStats` hit/miss/store totals land
-here behind one :meth:`Metrics.snapshot` API.
+One :class:`Metrics` instance lives per run (owned by a
+:class:`repro.obs.trace.Tracer`) and holds every timer and counter of
+the exploration stack: the ``<phase>_seconds`` histograms fed by phase
+spans, and the event counters (``oracle_*``, ``verify_*``,
+``embedding_cache_*``) the engine records, behind one
+:meth:`Metrics.snapshot` API. ``stats.phase_profile`` is a run's delta
+of this registry.
 
 Design constraints:
 
@@ -153,6 +154,11 @@ class Metrics:
         if histogram is None:
             histogram = self.histograms[name] = Histogram(bounds)
         histogram.observe(value)
+
+    def total(self, name: str) -> float:
+        """Sum of the named histogram's observations (0.0 before any)."""
+        histogram = self.histograms.get(name)
+        return histogram.total if histogram is not None else 0.0
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-compatible snapshot of everything recorded so far."""

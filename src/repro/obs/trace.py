@@ -22,9 +22,17 @@ tree's *structure*, never on wall-clock or process ids: two runs with
 identical trajectories produce identical ids, which lets traces from
 different runs be diffed structurally.
 
-All span times are Unix-epoch seconds (``time.time``); durations at
-the granularity traced here (MILP solves, SMT queries, VF2
-enumerations) are far above its resolution.
+**One clock.** Spans are timed with ``time.perf_counter`` shifted by a
+single ``time.time`` anchor taken when the :class:`Tracer` is created
+(:meth:`Tracer.now`), so span ``start``/``end`` are Unix-epoch seconds
+while durations are immune to wall-clock adjustments.
+
+**Phases.** Spans opened with :meth:`Tracer.phase` carry
+``kind="phase"``; closing one also records its duration in the
+``<name>_seconds`` histogram of :attr:`Tracer.metrics`. Those
+histograms are the exploration loop's only timer: per-iteration times,
+``stats.total_time`` and ``stats.phase_profile`` are derived from them
+(see :mod:`repro.explore.engine`).
 """
 
 from __future__ import annotations
@@ -35,7 +43,17 @@ import os
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    ContextManager,
+    Dict,
+    IO,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.obs.metrics import Metrics
 
@@ -251,7 +269,8 @@ class Tracer:
     span. Concurrent *parent-side* intervals (the sweep scheduler's
     overlapping jobs) use ``detached=True`` with an explicit parent.
     Finished spans are forwarded to every sink immediately; metrics are
-    snapshotted once at :meth:`finish`.
+    snapshotted once at :meth:`finish`. A tracer without sinks still
+    times every span and feeds the metrics registry.
     """
 
     def __init__(
@@ -261,6 +280,7 @@ class Tracer:
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
+        self._epoch = time.time() - time.perf_counter()
         self.sinks = list(sinks)
         self.metrics = metrics if metrics is not None else Metrics()
         self.spans_recorded = 0
@@ -270,9 +290,13 @@ class Tracer:
         for sink in self.sinks:
             on_meta = getattr(sink, "on_meta", None)
             if on_meta is not None:
-                on_meta({"trace_id": self.trace_id, "created": time.time()})
+                on_meta({"trace_id": self.trace_id, "created": self.now()})
 
     # -- span lifecycle -----------------------------------------------------
+
+    def now(self) -> float:
+        """The tracer's clock: ``perf_counter`` on the Unix-epoch scale."""
+        return self._epoch + time.perf_counter()
 
     @property
     def current(self) -> Optional[Span]:
@@ -308,7 +332,7 @@ class Tracer:
             name,
             span_id_for(parent_id, name, seq),
             parent_id,
-            time.time(),
+            self.now(),
             attrs=attrs,
         )
         if not detached:
@@ -316,10 +340,13 @@ class Tracer:
         return span
 
     def end_span(self, span: Span) -> None:
-        """Close a span and forward it to the sinks."""
+        """Close a span, time a phase into its histogram, forward it to
+        the sinks."""
         if span.closed:
             return
-        span.end = time.time()
+        span.end = self.now()
+        if span.attrs.get("kind") == "phase":
+            self.metrics.observe(f"{span.name}_seconds", span.duration)
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # defensive: out-of-order close
@@ -339,6 +366,10 @@ class Tracer:
             yield span
         finally:
             self.end_span(span)
+
+    def phase(self, name: str) -> ContextManager[Span]:
+        """Context-managed phase span (``kind="phase"``) of the current span."""
+        return self.span(name, kind="phase")
 
     def _emit(self, record: Dict[str, Any]) -> None:
         self.spans_recorded += 1

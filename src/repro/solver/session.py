@@ -40,12 +40,12 @@ caching is blind to session reuse.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.exceptions import SolverError
+from repro.obs.trace import Tracer
 from repro.solver import branch_bound, scipy_backend
 from repro.solver.model import ConstraintSense, Model
 from repro.solver.result import SolveResult, SolveStatus
@@ -65,10 +65,8 @@ class IncrementalSession:
     and/or constraints), solver state is extended in place; anything
     else triggers a transparent full rebuild.
 
-    ``profiler`` is an optional
-    :class:`repro.explore.profiling.PhaseProfiler`; model-sync work is
-    charged to its ``matrix_build`` phase and solver runs to
-    ``milp_solve``.
+    Each solve opens two phase spans on :attr:`tracer`: model-sync work
+    is ``matrix_build`` and the solver run is ``milp_solve``.
     """
 
     def __init__(
@@ -76,12 +74,13 @@ class IncrementalSession:
         model: Model,
         backend: str = "scipy",
         time_limit: Optional[float] = None,
-        profiler=None,
     ) -> None:
         self.model = model
         self.backend = backend
         self.time_limit = time_limit
-        self.profiler = profiler
+        #: The :class:`repro.obs.trace.Tracer` timing each solve; the
+        #: exploration engine binds its run's tracer here.
+        self.tracer = Tracer()
         #: Diagnostics: how often the fast append path was taken vs a
         #: full rebuild. Read by tests and reports.
         self.appends = 0
@@ -97,34 +96,30 @@ class IncrementalSession:
                 f"unknown solver backend {backend!r} for IncrementalSession"
             )
 
-    def _phase(self, name: str):
-        return self.profiler.phase(name) if self.profiler is not None else nullcontext()
-
     def solve(self) -> SolveResult:
         """Solve the bound model, reusing solver state where possible."""
+        tracer = self.tracer
         if self._impl is None:
-            with self._phase("matrix_build"):
+            with tracer.phase("matrix_build"):
                 form = self.model.to_matrix_form()
-            with self._phase("milp_solve"):
+            with tracer.phase("milp_solve"):
                 result = scipy_backend.solve_matrix(form, time_limit=self.time_limit)
         else:
-            with self._phase("matrix_build") as span:
+            with tracer.phase("matrix_build") as span:
                 self._impl.sync(self.model)
-                if span is not None:
-                    span.attrs["sync"] = (
-                        "append" if self._impl.last_was_append else "rebuild"
-                    )
+                span.attrs["sync"] = (
+                    "append" if self._impl.last_was_append else "rebuild"
+                )
             if self._impl.last_was_append:
                 self.appends += 1
             else:
                 self.rebuilds += 1
-            with self._phase("milp_solve") as span:
+            with tracer.phase("milp_solve") as span:
                 result = self._impl.solve(self.model)
-                if span is not None:
-                    span.attrs.update(
-                        variables=self.model.num_variables,
-                        constraints=self.model.num_constraints,
-                    )
+                span.attrs.update(
+                    variables=self.model.num_variables,
+                    constraints=self.model.num_constraints,
+                )
         if (
             result.is_optimal
             and not self.model.minimize

@@ -322,7 +322,7 @@ class TestTracing:
     def test_profile_output_is_stable_under_tracing(self, capsys, tmp_path):
         # Golden check: --profile's phase table must list the same
         # phases with the same call counts whether or not --trace rides
-        # along (the profiler is the bridge, not a casualty).
+        # along (--trace only adds a sink to the same phase spans).
         argv = ["epn", "--left", "1", "--right", "0", "--profile"]
         assert main(argv) == 0
         plain = self._phase_lines(capsys.readouterr().out)

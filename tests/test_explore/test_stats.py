@@ -94,15 +94,6 @@ class TestSerialization:
         assert clone.milp_variables == 10
         assert clone.iterations[1].milp_time == 2.0
 
-    def test_roundtrip_without_iterations(self):
-        stats = self._stats()
-        data = stats.to_dict(include_iterations=False)
-        assert "iterations" not in data
-        clone = ExplorationStats.from_dict(data)
-        assert clone.num_iterations == 0
-        assert clone.total_cuts == stats.total_cuts
-        assert clone.total_time == stats.total_time
-
 
 class TestViolationRecords:
     def test_violations_roundtrip(self):

@@ -6,14 +6,16 @@ The acceptance bar for the observability layer:
   its parent's, exactly one root (the run span);
 * **structural stability** — run/iteration/refinement_check span ids
   are identical across two runs of the same problem;
-* **agreement** — trace-derived per-phase totals match the
-  PhaseProfiler's within 5% (they bracket the same code);
-* **non-interference** — tracing changes no result and, when off,
-  builds no spans.
+* **agreement** — trace-derived per-phase totals equal
+  ``stats.phase_profile``'s exactly (both are read from the same spans);
+* **derivation** — every iteration time and ``stats.total_time`` is
+  the sum of the matching spans' durations, traced or not;
+* **non-interference** — binding a tracer changes no result.
 """
 
 import pytest
 
+from repro.casestudies import epn
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
 from repro.obs import InMemorySink, Tracer
 from repro.obs.analyze import Trace, phase_totals
@@ -98,23 +100,65 @@ class TestStructuralStability:
 
 
 class TestAgreement:
-    def test_phase_totals_match_profiler_within_5pct(self, traced_run):
+    def test_phase_totals_match_stats_profile(self, traced_run):
         result, trace = traced_run
-        profiler_totals = result.stats.phase_profile["totals"]
+        profile = result.stats.phase_profile
         trace_totals = phase_totals(trace)
+        assert set(trace_totals) == set(profile["totals"])
         for name, (seconds, calls) in trace_totals.items():
-            expected = profiler_totals.get(name)
-            assert expected is not None, f"profiler missing phase {name}"
-            assert calls == result.stats.phase_profile["counts"][name]
-            assert seconds == pytest.approx(
-                expected, rel=0.05, abs=0.005
-            ), name
+            assert calls == profile["counts"][name]
+            assert seconds == profile["totals"][name], name
 
     def test_metrics_snapshot_carries_oracle_counters(self, traced_run):
         _, trace = traced_run
         counters = trace.metrics["counters"]
         assert "oracle_misses" in counters
         assert counters["oracle_misses"] > 0
+
+
+class TestDerivation:
+    """Stats times are read back from the phase spans, not timed apart."""
+
+    _FIELDS = {
+        "milp_time": ("matrix_build", "milp_solve"),
+        "refinement_time": ("refinement",),
+        "certificate_time": ("certificate_build",),
+    }
+
+    def test_times_are_span_sums(self):
+        mapping_template, specification = epn.build_problem(1, 0, 0)
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        result = ContrArcExplorer(
+            mapping_template, specification, tracer=tracer
+        ).explore()
+        tracer.finish()
+        trace = Trace(sink.spans, metrics=sink.metrics, meta=sink.meta)
+
+        (run,) = trace.named("run")
+        assert result.stats.total_time == run["duration"]
+        iterations = sorted(
+            trace.named("iteration"), key=lambda s: s["attrs"]["index"]
+        )
+        assert len(iterations) == result.stats.num_iterations
+        for record, iteration in zip(result.stats.iterations, iterations):
+            children = [
+                s for s in trace.spans if s["parent"] == iteration["id"]
+            ]
+            for field, phases in self._FIELDS.items():
+                expected = sum(
+                    s["duration"] for s in children if s["name"] in phases
+                )
+                assert getattr(record, field) == pytest.approx(
+                    expected, rel=1e-9, abs=1e-12
+                ), (record.index, field)
+
+    def test_untraced_run_is_still_timed(self):
+        mapping_template, specification = epn.build_problem(1, 0, 0)
+        stats = ContrArcExplorer(mapping_template, specification).explore().stats
+        assert stats.milp_time > 0
+        assert stats.refinement_time > 0
+        assert stats.total_time >= stats.milp_time + stats.refinement_time
 
 
 class TestNonInterference:

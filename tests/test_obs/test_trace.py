@@ -71,6 +71,30 @@ class TestTracer:
         assert sink.spans[0]["attrs"]["unclosed"] is True
         assert sink.metrics is not None
 
+    def test_phase_spans_feed_their_histogram(self):
+        t = Tracer()
+        with t.span("iteration"):
+            with t.phase("milp_solve") as first:
+                pass
+            with t.phase("milp_solve") as second:
+                pass
+        histograms = t.metrics.histograms
+        assert set(histograms) == {"milp_solve_seconds"}
+        assert histograms["milp_solve_seconds"].count == 2
+        assert t.metrics.total("milp_solve_seconds") == (
+            first.duration + second.duration
+        )
+        assert t.metrics.total("refinement_seconds") == 0.0
+
+    def test_span_times_are_on_the_epoch_scale(self):
+        import time
+
+        before = time.time()
+        t = Tracer()
+        with t.span("run") as span:
+            pass
+        assert before - 1.0 <= span.start <= span.end <= time.time() + 1.0
+
 class TestJsonlSink:
     def test_record_stream(self):
         buffer = io.StringIO()
