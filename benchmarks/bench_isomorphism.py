@@ -7,20 +7,19 @@ networkx's DiGraphMatcher on exactly that workload and asserts both
 enumerate the same number of embeddings.
 """
 
-import time
-
 import networkx as nx
 import pytest
 
 from repro.casestudies import epn, rpl
 from repro.graph.digraph import DiGraph
 from repro.graph.isomorphism import find_embeddings
-from repro.reporting.tables import format_seconds, render_table
+from repro.reporting.tables import render_table
 
 from benchmarks.conftest import report
 
 _COUNTS = {}
-_TIMES = {}
+#: Per case and matcher, the median seconds of one enumeration.
+_MEDIANS = {}
 
 
 def _epn_host():
@@ -68,9 +67,8 @@ def test_vf2_ours(benchmark, case):
     build_host, labels = CASES[case]
     host = build_host()
     pattern = _route_pattern(host, labels)
-    started = time.perf_counter()
     embeddings = benchmark(find_embeddings, host, pattern)
-    _TIMES.setdefault(case, {})["ours"] = time.perf_counter() - started
+    _MEDIANS.setdefault(case, {})["ours"] = benchmark.stats.stats.median
     _COUNTS.setdefault(case, {})["ours"] = len(embeddings)
     assert embeddings
 
@@ -79,7 +77,6 @@ def test_vf2_ours(benchmark, case):
 def test_vf2_networkx(benchmark, case):
     build_host, labels = CASES[case]
     host = _to_nx(build_host())
-    pattern = _to_nx(_route_pattern(DiGraph(), labels)) if False else None
     # Build the pattern directly in networkx form.
     pat = nx.DiGraph()
     previous = None
@@ -96,9 +93,8 @@ def test_vf2_networkx(benchmark, case):
         )
         return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
 
-    started = time.perf_counter()
     count = benchmark(enumerate_nx)
-    _TIMES.setdefault(case, {})["networkx"] = time.perf_counter() - started
+    _MEDIANS.setdefault(case, {})["networkx"] = benchmark.stats.stats.median
     _COUNTS.setdefault(case, {})["networkx"] = count
 
 
@@ -112,10 +108,9 @@ def _verify_counts(results_dir):
 
 
 def _render_report(results_dir):
-    """Table + BENCH JSON twin: per case, embeddings and matcher times.
-
-    Times are the full pytest-benchmark wall-clock (calibration rounds
-    included) — coarse but diffable; the precise distributions stay in
+    """Table + BENCH JSON twin: per case, embeddings and the median
+    time of one enumeration per matcher (pytest-benchmark's rounds; its
+    calibration loop is not counted). The full distributions stay in
     pytest-benchmark's own output.
     """
     if not _COUNTS:
@@ -124,27 +119,27 @@ def _render_report(results_dir):
     data = {}
     for case in CASES:
         counts = _COUNTS.get(case, {})
-        times = _TIMES.get(case, {})
+        medians = _MEDIANS.get(case, {})
         if "ours" not in counts:
             continue
-        ours_t = times.get("ours")
-        nx_t = times.get("networkx")
+        ours_t = medians.get("ours")
+        nx_t = medians.get("networkx")
         rows.append(
             [
                 case,
                 counts["ours"],
-                format_seconds(ours_t) if ours_t is not None else "-",
-                format_seconds(nx_t) if nx_t is not None else "-",
+                f"{ours_t * 1e3:.3f}" if ours_t is not None else "-",
+                f"{nx_t * 1e3:.3f}" if nx_t is not None else "-",
                 f"{nx_t / ours_t:.1f}x" if ours_t and nx_t else "-",
             ]
         )
         data[case] = {
             "embeddings": counts["ours"],
-            "native_wall_clock": round(ours_t, 4) if ours_t else None,
-            "networkx_wall_clock": round(nx_t, 4) if nx_t else None,
+            "native_median_s": ours_t,
+            "networkx_median_s": nx_t,
         }
     text = render_table(
-        ["case", "embeddings", "native", "networkx", "ratio"],
+        ["case", "embeddings", "native ms", "networkx ms", "speedup"],
         rows,
         title="Substrate - VF2 embedding enumeration vs networkx",
     )

@@ -158,8 +158,9 @@ class CandidateArchitecture:
     def structural_assignment(self) -> Dict[Var, float]:
         """Values of every e/m variable under this candidate (0 or 1)."""
         assignment: Dict[Var, float] = {}
+        edges = set(self.selected_edges)
         for key, var in self.mapping_template.edge_vars().items():
-            assignment[var] = 1.0 if key in set(self.selected_edges) else 0.0
+            assignment[var] = 1.0 if key in edges else 0.0
         selected = {
             (component, impl.name) for component, impl in self.selected_impls.items()
         }

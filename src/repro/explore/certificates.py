@@ -17,9 +17,12 @@ whole candidate) and the violated viewpoint:
    strictly larger architecture (any extra boundary edge) re-opens the
    possibility, since additional structure may fix a global violation.
 
-Because the identity embedding is always among the matches, every
-generated cut set excludes at least the current candidate — the loop in
-:mod:`repro.explore.engine` always makes progress.
+Every embedding yields its own cut; duplicates are dropped once, by
+the engine's ``formula_key`` check. The identity embedding (or a
+symmetric variant with the same widened sets, which yields the same
+cut) is always among the matches, so the cut set should exclude the
+current candidate. :mod:`repro.explore.engine` checks that it does and
+raises instead of looping on a candidate no new cut excludes.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from repro.explore.encoding import Cut
 from repro.explore.refinement_check import Violation
 from repro.expr.constraints import Formula, Or
 from repro.expr.terms import LinExpr
+from repro.graph import matchers
 from repro.graph.digraph import DiGraph, NodeId
-from repro.graph.isomorphism import Embedding, deduplicate_embeddings
+from repro.graph.isomorphism import Embedding
+from repro.graph.matchers import EmbeddingCache
 from repro.obs.trace import Tracer
 
 
@@ -108,22 +113,18 @@ def generate_cuts(
     violation: Violation,
     use_isomorphism: bool = True,
     widen: bool = True,
-    max_embeddings: int = 0,
-    matcher: str = "native",
-    embedding_cache=None,
+    embedding_cache: Optional[EmbeddingCache] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[Cut]:
     """Produce the certificate constraint set ``c`` for one violation.
 
-    ``embedding_cache`` is an optional
-    :class:`repro.graph.matchers.EmbeddingCache` scoped to one
-    exploration run; repeated fragments then skip re-enumeration.
+    One cut per embedding, in enumeration order. ``embedding_cache`` is
+    an optional :class:`~repro.graph.matchers.EmbeddingCache` scoped to
+    one exploration run; repeated fragments then skip re-enumeration.
     Each enumeration is an ``embedding`` phase span of ``tracer`` (the
     exploration run's :class:`~repro.obs.trace.Tracer`; a fresh
     sink-less one when omitted).
     """
-    from repro.graph.matchers import EmbeddingCache, get_matcher
-
     fragment = violation.sub_architecture
     pattern = fragment.graph()
     template_graph = mapping_template.template.graph()
@@ -137,7 +138,7 @@ def generate_cuts(
         cache_key = None
         embeddings = None
         if embedding_cache is not None:
-            cache_key = EmbeddingCache.key(pattern, matcher, max_embeddings, colors)
+            cache_key = EmbeddingCache.key(pattern, colors)
             embeddings = embedding_cache.get(cache_key)
         if embeddings is None:
             by_color: Dict[Hashable, List[NodeId]] = {}
@@ -147,19 +148,14 @@ def generate_cuts(
                 group for group in by_color.values() if len(group) > 1
             ]
             with (tracer or Tracer()).phase("embedding") as span:
-                raw = get_matcher(matcher)(
-                    template_graph,
-                    pattern,
-                    max_embeddings,
-                    symmetry_classes=symmetry_classes,
+                embeddings = matchers.find_embeddings(
+                    template_graph, pattern, symmetry_classes=symmetry_classes
                 )
-                embeddings = deduplicate_embeddings(pattern, raw)
                 span.attrs.update(
                     viewpoint=violation.viewpoint.name,
                     pattern_nodes=len(pattern.nodes()),
                     pattern_edges=len(pattern.edges()),
                     embeddings=len(embeddings),
-                    matcher=matcher,
                 )
             if embedding_cache is not None:
                 embedding_cache.put(cache_key, embeddings)

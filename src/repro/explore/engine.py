@@ -6,7 +6,9 @@ Iterate:
    the cheapest candidate;
 2. run Algorithm 1 (refinement verification) on the candidate;
 3. if a viewpoint fails, run Algorithm 2 to turn the invalid fragment
-   into isomorphism-generalized cuts and go to 1;
+   into isomorphism-generalized cuts and go to 1 (at least one new cut
+   must exclude the candidate, or the run raises
+   :class:`~repro.exceptions.ExplorationError` rather than stall);
 4. otherwise the candidate is the optimum of Problem 1.
 
 The two scalability levers of the paper map to constructor flags:
@@ -153,9 +155,7 @@ class ContrArcExplorer:
         widen_implementations: bool = True,
         check_assumptions: bool = False,
         max_iterations: int = 1000,
-        max_embeddings: int = 0,
         time_limit: Optional[float] = None,
-        matcher: str = "native",
         oracle=None,
         incremental: bool = True,
         incremental_verify: Optional[bool] = None,
@@ -163,8 +163,6 @@ class ContrArcExplorer:
         profile: bool = False,
         tracer=None,
     ) -> None:
-        #: Subgraph-isomorphism backend for certificate generation.
-        self.matcher = matcher
         #: Optional memoizing oracle (see
         #: :class:`repro.runtime.oracle.OracleCache`). Serves repeated
         #: refinement queries and candidate-MILP solves from cache —
@@ -206,7 +204,6 @@ class ContrArcExplorer:
         self.use_decomposition = use_decomposition
         self.widen_implementations = widen_implementations
         self.max_iterations = max_iterations
-        self.max_embeddings = max_embeddings
         if oracle is None:
             # No user oracle: still memoize refinement sat-queries within
             # this explorer's lifetime — identical (path, spec) checks
@@ -352,8 +349,6 @@ class ContrArcExplorer:
                                 violation,
                                 use_isomorphism=self.use_isomorphism,
                                 widen=self.widen_implementations,
-                                max_embeddings=self.max_embeddings,
-                                matcher=self.matcher,
                                 embedding_cache=embedding_cache,
                                 tracer=tracer,
                             ):
@@ -365,10 +360,23 @@ class ContrArcExplorer:
                                     continue
                                 seen_cut_keys.add(key)
                                 added.append(cut)
-                        # Activate the cuts this candidate violates (the
-                        # identity embedding's among them, so the next
-                        # solve makes progress) and pool the rest.
-                        for cut in added if eager else pool.offer(added, candidate):
+                        # Activate the cuts this candidate violates and
+                        # pool the rest.
+                        active = added if eager else pool.offer(added, candidate)
+                        # Progress: some new cut (the identity embedding's)
+                        # must exclude the candidate, or the next solve
+                        # returns it again.
+                        assignment = candidate.structural_assignment()
+                        if all(cut.formula.evaluate(assignment) for cut in active):
+                            viewpoints = dict.fromkeys(
+                                violation.viewpoint.name for violation in violations
+                            )
+                            raise ExplorationError(
+                                f"iteration {index}: no new certificate cut "
+                                f"excludes the candidate violating "
+                                f"{', '.join(viewpoints)}"
+                            )
+                        for cut in active:
                             cut_encoder.enforce(cut.formula)
                     record.cuts_added = len(added)
                     span.attrs["cuts_added"] = len(added)

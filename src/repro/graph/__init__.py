@@ -12,12 +12,10 @@ from repro.graph.isomorphism import (
     Embedding,
     SubgraphMatcher,
     are_isomorphic,
-    deduplicate_embeddings,
-    embedding_edge_image,
     find_embeddings,
 )
 from repro.graph.dot import to_dot, write_dot
-from repro.graph.matchers import MATCHERS, EmbeddingCache, get_matcher
+from repro.graph.matchers import EmbeddingCache
 
 __all__ = [
     "DiGraph",
@@ -31,12 +29,8 @@ __all__ = [
     "Embedding",
     "SubgraphMatcher",
     "are_isomorphic",
-    "deduplicate_embeddings",
-    "embedding_edge_image",
     "find_embeddings",
     "to_dot",
     "write_dot",
-    "MATCHERS",
     "EmbeddingCache",
-    "get_matcher",
 ]

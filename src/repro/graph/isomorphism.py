@@ -27,10 +27,11 @@ widened implementation sets in certificate generation). The matcher
 verifies each group is structurally interchangeable (equal label, equal
 neighborhoods outside the group, no intra-group edges — i.e. swapping
 two members is a pattern automorphism) and then enumerates only the
-representative with ascending host indices per class. The skipped
-embeddings are exactly the automorphic variants that
-:func:`deduplicate_embeddings` would drop, so deduplicated output is
-unchanged — enumeration just never expands the redundant subtrees.
+representative with ascending host indices per class. Each skipped
+embedding is an automorphic variant of one that is kept: it has the
+same node and edge image and, under the caller's notion of
+interchangeability, the same downstream effect, so enumeration just
+never expands the redundant subtrees.
 
 This replaces DotMotif in the original tool chain; tests cross-check the
 enumeration against networkx's DiGraphMatcher.
@@ -41,7 +42,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -289,33 +289,6 @@ def find_embeddings(
     return SubgraphMatcher(
         host, pattern, induced, label_match, symmetry_classes
     ).find_all(limit)
-
-
-def embedding_edge_image(
-    pattern: DiGraph, embedding: Embedding
-) -> FrozenSet[Tuple[NodeId, NodeId]]:
-    """Host edges used by an embedding."""
-    return frozenset(
-        (embedding[src], embedding[dst]) for src, dst in pattern.edges()
-    )
-
-
-def deduplicate_embeddings(
-    pattern: DiGraph, embeddings: List[Embedding]
-) -> List[Embedding]:
-    """Drop embeddings whose node- and edge-image coincide with an earlier
-    one (automorphic variants produce identical MILP cuts)."""
-    seen: Set[Tuple[FrozenSet[NodeId], FrozenSet[Tuple[NodeId, NodeId]]]] = set()
-    unique: List[Embedding] = []
-    for embedding in embeddings:
-        key = (
-            frozenset(embedding.values()),
-            embedding_edge_image(pattern, embedding),
-        )
-        if key not in seen:
-            seen.add(key)
-            unique.append(embedding)
-    return unique
 
 
 def are_isomorphic(a: DiGraph, b: DiGraph) -> bool:

@@ -1,95 +1,35 @@
-"""Pluggable subgraph-isomorphism backends.
+"""Embedding enumeration as certificate generation sees it.
 
 The certificate generator only needs one operation — enumerate all
-label-preserving sub-monomorphisms of a pattern into a host — so the
-matcher is pluggable the same way MILP backends are. Two backends ship:
-
-* ``native``   — the VF2-style matcher in :mod:`repro.graph.isomorphism`
-  (the default; typically several times faster on the path-shaped
-  patterns certificates produce);
-* ``networkx`` — an adapter over :class:`networkx.algorithms.isomorphism.
-  DiGraphMatcher`, standing in for DotMotif in the paper's tool chain
-  and doubling as an independent cross-check.
+label-preserving sub-monomorphisms of a pattern into a host — and calls
+:func:`find_embeddings` (the bitset VF2 engine of
+:mod:`repro.graph.isomorphism`) through this module's globals, so one
+name covers every enumeration Algorithm 2 runs. networkx's
+``DiGraphMatcher`` stands in for DotMotif in the paper's tool chain as
+the tests' independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.exceptions import ReproError
 from repro.graph.digraph import DiGraph, NodeId
 from repro.graph.isomorphism import Embedding, find_embeddings
 
-MatcherFn = Callable[..., List[Embedding]]
-
-#: Optional hint accepted by matcher backends: groups of pattern nodes
-#: the *caller* treats as interchangeable. Backends may use it to prune
-#: automorphic enumeration (the native engine verifies the groups are
-#: real automorphisms first); backends without such support ignore it.
-SymmetryClasses = Optional[Iterable[Iterable[NodeId]]]
-
-
-def native_matcher(
-    host: DiGraph,
-    pattern: DiGraph,
-    limit: int = 0,
-    symmetry_classes: SymmetryClasses = None,
-) -> List[Embedding]:
-    """The built-in bitset VF2 enumerator."""
-    return find_embeddings(
-        host, pattern, limit=limit, symmetry_classes=symmetry_classes
-    )
-
-
-def networkx_matcher(
-    host: DiGraph,
-    pattern: DiGraph,
-    limit: int = 0,
-    symmetry_classes: SymmetryClasses = None,
-) -> List[Embedding]:
-    """Enumerate embeddings with networkx's DiGraphMatcher."""
-    import networkx as nx
-
-    def convert(graph: DiGraph) -> "nx.DiGraph":
-        out = nx.DiGraph()
-        for node in graph.nodes():
-            out.add_node(node, label=graph.label(node))
-        out.add_edges_from(graph.edges())
-        return out
-
-    if pattern.num_nodes == 0:
-        return [{}]
-    matcher = nx.algorithms.isomorphism.DiGraphMatcher(
-        convert(host),
-        convert(pattern),
-        node_match=lambda a, b: a["label"] == b["label"],
-    )
-    embeddings: List[Embedding] = []
-    for mapping in matcher.subgraph_monomorphisms_iter():
-        # networkx maps host -> pattern; invert to pattern -> host.
-        embeddings.append({p: h for h, p in mapping.items()})
-        if limit and len(embeddings) >= limit:
-            break
-    return embeddings
-
-
-MATCHERS: Dict[str, MatcherFn] = {
-    "native": native_matcher,
-    "networkx": networkx_matcher,
-}
+__all__ = ["EmbeddingCache", "find_embeddings"]
 
 
 class EmbeddingCache:
-    """Per-run memo for deduplicated embedding enumerations.
+    """Per-run memo for embedding enumerations.
 
     The exploration loop re-derives the same detached fragment across
     many iterations (the host template never changes within a run), so
     :func:`repro.explore.certificates.generate_cuts` can skip repeated
     enumeration entirely. Keys cover everything the result depends on:
-    matcher backend, limit, the pattern's full structure (nodes with
-    labels, edges) and the symmetry colors supplied by the caller. The
-    host is deliberately *not* part of the key — one cache serves one
-    exploration run over one template; create a fresh cache per run.
+    the pattern's full structure (nodes with labels, edges) and the
+    symmetry colors supplied by the caller. The host is deliberately
+    *not* part of the key — one cache serves one exploration run over
+    one template; create a fresh cache per run.
     """
 
     __slots__ = ("_store", "hits", "misses")
@@ -102,8 +42,6 @@ class EmbeddingCache:
     @staticmethod
     def key(
         pattern: DiGraph,
-        matcher: str,
-        limit: int,
         colors: Optional[Dict[NodeId, Hashable]] = None,
     ) -> Hashable:
         nodes: Tuple = tuple(
@@ -116,7 +54,7 @@ class EmbeddingCache:
             )
         )
         edges: Tuple = tuple(sorted(pattern.edges(), key=str))
-        return (matcher, limit, nodes, edges)
+        return (nodes, edges)
 
     def get(self, key: Hashable) -> Optional[List[Embedding]]:
         found = self._store.get(key)
@@ -129,14 +67,3 @@ class EmbeddingCache:
 
     def put(self, key: Hashable, embeddings: List[Embedding]) -> None:
         self._store[key] = [dict(embedding) for embedding in embeddings]
-
-
-def get_matcher(name: str) -> MatcherFn:
-    """Resolve a registered matcher backend by name."""
-    try:
-        return MATCHERS[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown isomorphism matcher {name!r}; available: "
-            f"{sorted(MATCHERS)}"
-        )

@@ -29,17 +29,31 @@ class SQLiteStore:
     def __init__(self, path: str, busy_timeout: float = 30.0) -> None:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path, timeout=busy_timeout)
-        try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(_SCHEMA)
-            self._conn.commit()
-        except sqlite3.DatabaseError:
-            # A corrupt/garbage file fails here, not in connect();
-            # release the handle before surfacing it so the caller's
-            # degradation path does not leak a connection.
-            self._conn.close()
-            raise
+        deadline = time.monotonic() + busy_timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+                self._conn.execute(_SCHEMA)
+                self._conn.commit()
+                return
+            except sqlite3.OperationalError as error:
+                # Workers that open a fresh file at the same moment race
+                # on the switch to WAL, and SQLite reports that race as
+                # "database is locked" without consulting the busy
+                # timeout; wait it out here instead.
+                if "locked" in str(error) and time.monotonic() < deadline:
+                    self._conn.rollback()
+                    time.sleep(0.01)
+                    continue
+                self._conn.close()
+                raise
+            except sqlite3.DatabaseError:
+                # A corrupt/garbage file fails here, not in connect();
+                # release the handle before surfacing it so the caller's
+                # degradation path does not leak a connection.
+                self._conn.close()
+                raise
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         row = self._conn.execute(

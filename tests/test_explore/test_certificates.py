@@ -110,11 +110,6 @@ class TestCutGeneration:
         assignment = good.structural_assignment()
         assert all(cut.formula.evaluate(assignment) for cut in cuts)
 
-    def test_max_embeddings_cap(self, violation):
-        mt, candidate, v = violation
-        cuts = generate_cuts(mt, candidate, v, max_embeddings=1)
-        assert len(cuts) == 1
-
     def test_cut_descriptions_mention_viewpoint(self, violation):
         mt, candidate, v = violation
         cuts = generate_cuts(mt, candidate, v)

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.casestudies import epn, rpl, wsn
 from repro.exceptions import (
     ExplorationError,
     NoFeasibleArchitectureError,
 )
+from repro.explore.encoding import Cut
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
+from repro.expr.terms import LinExpr
+from repro.runtime.job import SCENARIOS
 
 
 class TestOptimum:
@@ -111,6 +115,54 @@ class TestEdgeOutcomes:
         mt, spec = problem
         with pytest.raises(ExplorationError):
             ContrArcExplorer(mt, spec, max_iterations=0)
+
+
+class TestProgress:
+    """Every rejected candidate must be excluded by a cut of its own
+    iteration; a loop that would stall raises instead."""
+
+    def test_cut_the_candidate_satisfies_raises(self, problem, monkeypatch):
+        mt, spec = problem
+        var = mt.structural_vars()[0]
+        vacuous = Cut(LinExpr.sum([var]) <= 1, "vacuous")
+        monkeypatch.setattr(
+            "repro.explore.engine.generate_cuts", lambda *a, **k: [vacuous]
+        )
+        explorer = ContrArcExplorer(mt, spec, max_iterations=100)
+        with pytest.raises(ExplorationError, match="iteration 1: .*timing"):
+            explorer.explore()
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: epn.build_problem(1, 0, 0),
+            lambda: rpl.build_problem(1, 1),
+            lambda: wsn.build_problem(2, 2, 1),
+        ],
+        ids=["epn-1-0-0", "rpl-1-1", "wsn-2-2-1"],
+    )
+    def test_case_studies_never_stall(self, build, scenario):
+        mt, spec = build()
+        result = ContrArcExplorer(
+            mt, spec, max_iterations=30, **SCENARIOS[scenario]
+        ).explore()
+        assert result.status in (
+            ExplorationStatus.OPTIMAL,
+            ExplorationStatus.ITERATION_LIMIT,
+        )
+
+    def test_only_iso_wsn_2_2_2_reaches_optimum(self):
+        # Keying embeddings on their node and edge image alone drops
+        # the identity embedding's cut on this instance (two embeddings
+        # share an image but not their widened implementation sets),
+        # and the loop stalls.
+        mt, spec = wsn.build_problem(2, 2, 2)
+        result = ContrArcExplorer(
+            mt, spec, max_iterations=200, **SCENARIOS["only-iso"]
+        ).explore()
+        assert result.status is ExplorationStatus.OPTIMAL
+        assert result.cost == pytest.approx(20)
 
 
 class TestStats:

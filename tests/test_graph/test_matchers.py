@@ -1,10 +1,16 @@
-"""Tests for pluggable isomorphism matcher backends."""
+"""Tests for embedding enumeration as certificate generation sees it.
 
+``native`` is the module global :func:`repro.graph.matchers.find_embeddings`
+that Algorithm 2 calls; ``networkx`` is DiGraphMatcher, the independent
+oracle it must agree with.
+"""
+
+import networkx as nx
 import pytest
 
-from repro.exceptions import ReproError
+from repro.graph import matchers
 from repro.graph.digraph import DiGraph
-from repro.graph.matchers import MATCHERS, get_matcher
+from repro.graph.matchers import EmbeddingCache
 
 
 def _host():
@@ -25,42 +31,71 @@ def _pattern():
     return p
 
 
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(MATCHERS) == {"native", "networkx"}
+def _to_nx(graph):
+    out = nx.DiGraph()
+    for node in graph.nodes():
+        out.add_node(node, label=graph.label(node))
+    out.add_edges_from(graph.edges())
+    return out
 
-    def test_unknown_matcher(self):
-        with pytest.raises(ReproError, match="unknown isomorphism matcher"):
-            get_matcher("dotmotif")
+
+def _networkx_embeddings(host, pattern, limit=0):
+    if pattern.num_nodes == 0:
+        return [{}]
+    matcher = nx.algorithms.isomorphism.DiGraphMatcher(
+        _to_nx(host),
+        _to_nx(pattern),
+        node_match=lambda a, b: a["label"] == b["label"],
+    )
+    embeddings = []
+    for mapping in matcher.subgraph_monomorphisms_iter():
+        # networkx maps host -> pattern; invert to pattern -> host.
+        embeddings.append({p: h for h, p in mapping.items()})
+        if limit and len(embeddings) >= limit:
+            break
+    return embeddings
 
 
-@pytest.mark.parametrize("name", sorted(MATCHERS))
+_ENUMERATORS = {
+    "native": lambda host, pattern, limit=0: matchers.find_embeddings(
+        host, pattern, limit=limit
+    ),
+    "networkx": _networkx_embeddings,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATORS))
 class TestBackends:
     def test_enumeration(self, name):
-        embeddings = get_matcher(name)(_host(), _pattern(), 0)
+        embeddings = _ENUMERATORS[name](_host(), _pattern())
         images = {(e["a"], e["b"]) for e in embeddings}
         assert images == {("1", "2"), ("3", "4"), ("3", "2")}
 
     def test_limit(self, name):
-        embeddings = get_matcher(name)(_host(), _pattern(), 2)
+        embeddings = _ENUMERATORS[name](_host(), _pattern(), 2)
         assert len(embeddings) == 2
 
     def test_empty_pattern(self, name):
-        assert get_matcher(name)(_host(), DiGraph(), 0) == [{}]
+        assert _ENUMERATORS[name](_host(), DiGraph()) == [{}]
 
 
-class TestEngineIntegration:
-    def test_networkx_matcher_reaches_same_result(self, tmp_path):
-        from repro.casestudies import epn
-        from repro.explore.engine import ContrArcExplorer
+class TestEmbeddingCache:
+    def test_key_covers_structure_and_colors(self):
+        key = EmbeddingCache.key(_pattern(), {"a": "x", "b": "y"})
+        assert key == EmbeddingCache.key(_pattern(), {"a": "x", "b": "y"})
+        assert key != EmbeddingCache.key(_pattern(), {"a": "x", "b": "z"})
+        reversed_edge = _pattern()
+        reversed_edge.remove_edge("a", "b")
+        reversed_edge.add_edge("b", "a")
+        assert key != EmbeddingCache.key(reversed_edge, {"a": "x", "b": "y"})
 
-        mt, spec = epn.build_problem(1, 0, 0)
-        native = ContrArcExplorer(mt, spec, max_iterations=100).explore()
-        mt2, spec2 = epn.build_problem(1, 0, 0)
-        via_nx = ContrArcExplorer(
-            mt2, spec2, max_iterations=100, matcher="networkx"
-        ).explore()
-        assert native.cost == pytest.approx(via_nx.cost)
-        assert (
-            native.stats.num_iterations == via_nx.stats.num_iterations
-        )
+    def test_hits_misses_and_copies(self):
+        cache = EmbeddingCache()
+        key = EmbeddingCache.key(_pattern())
+        assert cache.get(key) is None
+        cache.put(key, [{"a": "1", "b": "2"}])
+        found = cache.get(key)
+        assert found == [{"a": "1", "b": "2"}]
+        found[0]["a"] = "mutated"
+        assert cache.get(key) == [{"a": "1", "b": "2"}]
+        assert (cache.hits, cache.misses) == (2, 1)

@@ -63,20 +63,6 @@ class TestStrategyAgreement:
         costs["topk-first"] = TopKExplorer(mt, spec, k=1).explore()[0].cost
         assert len({round(c, 6) for c in costs.values()}) == 1, costs
 
-    def test_matcher_backends_same_trajectory_on_epn(self):
-        runs = {}
-        for matcher in ("native", "networkx"):
-            mt, spec = epn.build_problem(1, 1, 0)
-            result = ContrArcExplorer(
-                mt, spec, max_iterations=200, matcher=matcher
-            ).explore()
-            runs[matcher] = (
-                round(result.cost, 9),
-                result.stats.num_iterations,
-                result.stats.total_cuts,
-            )
-        assert runs["native"] == runs["networkx"]
-
 
 class TestRejectionsAreGenuine:
     def test_every_rejected_candidate_violates_closed_form(self):

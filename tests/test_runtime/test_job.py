@@ -113,7 +113,10 @@ class TestEngineKeyValidation:
         with pytest.raises(ExplorationError, match="wrokers"):
             JobSpec("epn", engine={"wrokers": 2})
 
-    @pytest.mark.parametrize("key", ["workers", "portfolio", "portfolio_state"])
+    @pytest.mark.parametrize(
+        "key",
+        ["workers", "portfolio", "portfolio_state", "matcher", "max_embeddings"],
+    )
     def test_retired_keys_rejected(self, key):
         with pytest.raises(ExplorationError, match=key):
             JobSpec.from_dict({"case": "rpl", "engine": {key: 2}})
@@ -132,9 +135,10 @@ class TestEngineKeyValidation:
                 "backend": "native",
                 "max_iterations": 100,
                 "incremental": False,
-                "matcher": "networkx",
+                "multicut": False,
             },
         )
         explorer = spec.make_explorer()
         assert explorer.backend == "native"
         assert explorer.use_decomposition is False
+        assert explorer.multicut is False

@@ -1,5 +1,7 @@
 """OracleCache behaviour: memoization, LRU, persistence, correctness."""
 
+import sqlite3
+
 import pytest
 
 from repro.casestudies import rpl
@@ -96,6 +98,53 @@ class TestPersistence:
             store.put("k", {"a": 2.0})
             assert store.get("k") == {"a": 2.0}
             assert "k" in store and len(store) == 1
+
+
+class _LockedOnOpen:
+    """Connection double whose switch to WAL first reports a lock.
+
+    Mirrors two workers opening one fresh database file at once: SQLite
+    answers the loser's ``PRAGMA journal_mode=WAL`` with "database is
+    locked" without waiting on the busy timeout.
+    """
+
+    def __init__(self, conn, failures):
+        self._conn = conn
+        self.failures = failures
+
+    def execute(self, sql, *args):
+        if sql.startswith("PRAGMA journal_mode") and self.failures:
+            self.failures -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestStoreOpenRace:
+    def _patch_connect(self, monkeypatch, failures):
+        real_connect = sqlite3.connect
+        doubles = []
+
+        def connect(*args, **kwargs):
+            doubles.append(_LockedOnOpen(real_connect(*args, **kwargs), failures))
+            return doubles[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        return doubles
+
+    def test_open_waits_out_a_transient_lock(self, monkeypatch, tmp_path):
+        doubles = self._patch_connect(monkeypatch, failures=3)
+        with SQLiteStore(str(tmp_path / "kv.db")) as store:
+            store.put("k", {"v": 1})
+            assert store.get("k") == {"v": 1}
+        assert doubles[0].failures == 0
+
+    def test_lock_outlasting_busy_timeout_raises(self, monkeypatch, tmp_path):
+        self._patch_connect(monkeypatch, failures=10**9)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            SQLiteStore(str(tmp_path / "kv.db"), busy_timeout=0.05)
 
 
 class TestEndToEnd:
