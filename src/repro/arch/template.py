@@ -19,13 +19,19 @@ system-level contracts, and MILP cuts all talk about the same objects.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import functools
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import ArchitectureError
 from repro.arch.component import Component, ComponentType
 from repro.arch.library import Implementation, Library
 from repro.expr.terms import Var, binary, continuous
 from repro.graph.digraph import DiGraph
+
+if TYPE_CHECKING:
+    from repro.arch.architecture import CandidateArchitecture
 
 
 class Template:
@@ -132,6 +138,52 @@ class Template:
             f"Template({self.name!r}, components={self.num_components}, "
             f"candidate_edges={self.num_edges})"
         )
+
+
+class StructuralColumns:
+    """A mapping template's structural (edge and mapping) variables as
+    numbered columns: the coordinates of a certificate cut's rows.
+
+    Column ``j`` is ``mapping_template.structural_vars()[j]``, so the
+    candidate edges come first, in template order. Template nodes are
+    indexed in name order, and the ``edge`` (node x node) and ``mapping``
+    (node x implementation) tables turn node indices into columns by
+    numpy gather; ``-1`` marks a pair with no variable.
+    """
+
+    def __init__(self, mapping_template: MappingTemplate) -> None:
+        template = mapping_template.template
+        self.variables = tuple(mapping_template.structural_vars())
+        self.names = np.array(
+            sorted(c.name for c in template.components()), dtype=object
+        )
+        self.node_index = {name: i for i, name in enumerate(self.names)}
+        self.impl_index = {
+            impl.name: k for k, impl in enumerate(mapping_template.library)
+        }
+        index = self.node_index
+        #: (src, dst) node indices of each edge column.
+        self.ends = np.array(
+            [(index[src], index[dst]) for src, dst in template.edges()],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        self.edge = np.full((len(index), len(index)), -1, dtype=np.intp)
+        self.edge[self.ends[:, 0], self.ends[:, 1]] = np.arange(len(self.ends))
+        self.mapping = np.full((len(index), len(self.impl_index)), -1, dtype=np.intp)
+        for column, (component, impl) in enumerate(
+            mapping_template.mapping_vars(), start=len(self.ends)
+        ):
+            self.mapping[index[component], self.impl_index[impl]] = column
+
+    def point(self, candidate: CandidateArchitecture) -> np.ndarray:
+        """The candidate's 0/1 structural assignment as a vector."""
+        index = self.node_index
+        point = np.zeros(len(self.variables))
+        for src, dst in candidate.selected_edges:
+            point[self.edge[index[src], index[dst]]] = 1.0
+        for component, impl in candidate.selected_impls.items():
+            point[self.mapping[index[component], self.impl_index[impl.name]]] = 1.0
+        return point
 
 
 class MappingTemplate:
@@ -260,6 +312,11 @@ class MappingTemplate:
     def structural_vars(self) -> List[Var]:
         """All e and m variables (the candidate-defining assignment)."""
         return list(self._edge_vars.values()) + list(self._mapping_vars.values())
+
+    @functools.cached_property
+    def structural_columns(self) -> StructuralColumns:
+        """:meth:`structural_vars` as numbered columns, built once."""
+        return StructuralColumns(self)
 
     # -- graphs ---------------------------------------------------------------------
 

@@ -17,8 +17,12 @@ whole candidate) and the violated viewpoint:
    strictly larger architecture (any extra boundary edge) re-opens the
    possibility, since additional structure may fix a global violation.
 
-Every embedding yields its own cut; duplicates are dropped once, by
-the engine's ``formula_key`` check. The identity embedding (or a
+The cuts of all embeddings of a fragment are built at once, as sparse
+rows over the template's structural columns (numpy gathers over an
+embeddings x pattern-nodes index array); a cut's ``Formula`` is built
+only when something reads it. Every embedding yields its own cut;
+duplicates are dropped once, by the engine's check of each cut's
+sorted-row key. The identity embedding (or a
 symmetric variant with the same widened sets, which yields the same
 cut) is always among the matches, so the cut set should exclude the
 current candidate. :mod:`repro.explore.engine` checks that it does and
@@ -27,19 +31,18 @@ raises instead of looping on a candidate no new cut excludes.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.architecture import CandidateArchitecture
 from repro.arch.library import Implementation
-from repro.arch.template import MappingTemplate
 from repro.contracts.viewpoints import Viewpoint
-from repro.explore.encoding import Cut
+from repro.arch.template import MappingTemplate, StructuralColumns
+from repro.explore.encoding import Atom, Cut
 from repro.explore.refinement_check import Violation
-from repro.expr.constraints import Formula, Or
-from repro.expr.terms import LinExpr
 from repro.graph import matchers
 from repro.graph.digraph import DiGraph, NodeId
-from repro.graph.isomorphism import Embedding
 from repro.graph.matchers import EmbeddingCache
 from repro.obs.trace import Tracer
 
@@ -73,17 +76,6 @@ def implementation_search(
         else:
             widened[node] = None
     return widened
-
-
-def _boundary_edges(
-    template_graph: DiGraph, image_nodes: Set[NodeId]
-) -> List[Tuple[NodeId, NodeId]]:
-    """Template candidate edges crossing the fragment boundary."""
-    crossing: List[Tuple[NodeId, NodeId]] = []
-    for src, dst in template_graph.edges():
-        if (src in image_nodes) != (dst in image_nodes):
-            crossing.append((src, dst))
-    return crossing
 
 
 def _symmetry_colors(
@@ -127,20 +119,25 @@ def generate_cuts(
     """
     fragment = violation.sub_architecture
     pattern = fragment.graph()
-    template_graph = mapping_template.template.graph()
-
+    columns = mapping_template.structural_columns
     widened = implementation_search(
         mapping_template, fragment.implementations(), violation.viewpoint, widen
     )
+    # ``images`` is (embeddings x pattern nodes) template node indices;
+    # column slot[node] holds the image of ``node``. Nodes go in name
+    # order, so patterns sharing a cache key share one column layout.
+    slot = {node: p for p, node in enumerate(sorted(pattern.nodes(), key=str))}
 
-    if use_isomorphism:
+    if not use_isomorphism:
+        images = np.array([[columns.node_index[node] for node in slot]], dtype=np.intp)
+    else:
         colors = _symmetry_colors(pattern, widened)
         cache_key = None
-        embeddings = None
+        images = None
         if embedding_cache is not None:
             cache_key = EmbeddingCache.key(pattern, colors)
-            embeddings = embedding_cache.get(cache_key)
-        if embeddings is None:
+            images = embedding_cache.get(cache_key)
+        if images is None:
             by_color: Dict[Hashable, List[NodeId]] = {}
             for node, color in colors.items():
                 by_color.setdefault(color, []).append(node)
@@ -149,7 +146,9 @@ def generate_cuts(
             ]
             with (tracer or Tracer()).phase("embedding") as span:
                 embeddings = matchers.find_embeddings(
-                    template_graph, pattern, symmetry_classes=symmetry_classes
+                    mapping_template.template.graph(),
+                    pattern,
+                    symmetry_classes=symmetry_classes,
                 )
                 span.attrs.update(
                     viewpoint=violation.viewpoint.name,
@@ -157,73 +156,88 @@ def generate_cuts(
                     pattern_edges=len(pattern.edges()),
                     embeddings=len(embeddings),
                 )
+            images = np.array(
+                [
+                    [columns.node_index[embedding[node]] for node in slot]
+                    for embedding in embeddings
+                ],
+                dtype=np.intp,
+            ).reshape(len(embeddings), len(slot))
             if embedding_cache is not None:
-                embedding_cache.put(cache_key, embeddings)
-    else:
-        embeddings = [{node: node for node in pattern.nodes()}]
+                embedding_cache.put(cache_key, images)
 
-    cuts: List[Cut] = []
-    whole = fragment.is_whole_candidate
-    for embedding in embeddings:
-        cuts.append(
-            _cut_for_embedding(
-                mapping_template,
-                template_graph,
-                pattern,
-                embedding,
-                widened,
-                violation.viewpoint,
-                whole_candidate=whole,
-            )
-        )
-    return cuts
+    return _cuts_for_images(
+        columns,
+        pattern,
+        slot,
+        images,
+        widened,
+        violation.viewpoint,
+        whole_candidate=fragment.is_whole_candidate,
+    )
 
 
-def _cut_for_embedding(
-    mapping_template: MappingTemplate,
-    template_graph: DiGraph,
+def _cuts_for_images(
+    columns: StructuralColumns,
     pattern: DiGraph,
-    embedding: Embedding,
-    widened: Dict[str, List[Implementation]],
+    slot: Dict[NodeId, int],
+    images: np.ndarray,
+    widened: Dict[str, Optional[List[Implementation]]],
     viewpoint: Viewpoint,
     whole_candidate: bool,
-) -> Cut:
-    edge_vars = [
-        mapping_template.edge(str(embedding[src]), str(embedding[dst]))
-        for src, dst in pattern.edges()
+) -> List[Cut]:
+    """One cut per row of ``images``, built for all rows at once by
+    gathering columns from the :class:`StructuralColumns` tables."""
+    edges = pattern.edges()
+    edge_columns = columns.edge[
+        images[:, [slot[src] for src, _ in edges]],
+        images[:, [slot[dst] for _, dst in edges]],
     ]
-    mapping_vars = []
-    constrained_nodes = 0
+    parts = [edge_columns]
     for node in pattern.nodes():
         bad_impls = widened[str(node)]
         if bad_impls is None:
             # Any implementation of this node yields the same violation:
             # constrain the structure only.
             continue
-        constrained_nodes += 1
-        image = str(embedding[node])
-        for impl in bad_impls:
-            mapping_vars.append(mapping_template.mapping(image, impl.name))
+        parts.append(
+            columns.mapping[
+                images[:, [slot[node]]],
+                [columns.impl_index[impl.name] for impl in bad_impls],
+            ]
+        )
+    constrained_nodes = len(parts) - 1
+    # ``sum(edges) + sum(bad mappings) <= |E| + |V| - 1``, rows sorted
+    # into the deduplication key.
+    rows = np.concatenate(parts, axis=1)
+    bound = float(len(edges) + constrained_nodes - 1)
+    sorted_rows = np.sort(rows, axis=1)
+    image_names = columns.names[np.sort(images, axis=1)].tolist()
+    prefix = f"{viewpoint.name}: exclude "
 
-    num_edges = len(edge_vars)
-    structure_and_mappings = LinExpr.sum(edge_vars) + LinExpr.sum(mapping_vars)
-    exclusion: Formula = (
-        structure_and_mappings <= num_edges + constrained_nodes - 1
-    )
+    if whole_candidate:
+        # Template edges crossing each image's boundary: selecting any
+        # of them (a strictly larger architecture) re-opens the
+        # possibility, since extra structure may fix a global violation.
+        inside = np.zeros((len(images), len(columns.names)), dtype=bool)
+        inside[np.arange(len(images))[:, None], images] = True
+        crossing = inside[:, columns.ends[:, 0]] != inside[:, columns.ends[:, 1]]
+        grow_bound = -float(len(edges) + 1)
 
-    image_nodes = {embedding[node] for node in pattern.nodes()}
-    description = (
-        f"{viewpoint.name}: exclude "
-        + ",".join(sorted(str(n) for n in image_nodes))
-    )
-    if not whole_candidate:
-        return Cut(exclusion, description)
-
-    boundary = _boundary_edges(template_graph, image_nodes)
-    if not boundary:
-        return Cut(exclusion, description + " (whole, closed)")
-    boundary_vars = [
-        mapping_template.edge(str(src), str(dst)) for src, dst in boundary
-    ]
-    grow = LinExpr.sum(edge_vars) + LinExpr.sum(boundary_vars) >= num_edges + 1
-    return Cut(Or(grow, exclusion), description + " (whole)")
+    cuts: List[Cut] = []
+    for i, row in enumerate(rows):
+        atoms: Tuple[Atom, ...] = ((row, 1.0, bound),)
+        key: Tuple = (sorted_rows[i].tobytes(), bound)
+        description = prefix + ",".join(image_names[i])
+        if whole_candidate:
+            boundary = np.flatnonzero(crossing[i])
+            if len(boundary):
+                # ``sum(edges) + sum(boundary) >= |E| + 1``
+                grow = np.concatenate([edge_columns[i], boundary])
+                atoms = ((grow, -1.0, grow_bound),) + atoms
+                key += (np.sort(grow).tobytes(),)
+                description += " (whole)"
+            else:
+                description += " (whole, closed)"
+        cuts.append(Cut.from_rows(atoms, columns.variables, key, description))
+    return cuts

@@ -12,24 +12,73 @@ contract formulas is lowered to linear arithmetic by the big-M encoder.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.template import MappingTemplate
-from repro.expr.constraints import Formula
-from repro.expr.terms import LinExpr
+from repro.expr.constraints import Comparison, Formula, Or, Sense
+from repro.expr.terms import LinExpr, Var
 from repro.solver.encoder import FormulaEncoder
 from repro.solver.model import Model
 from repro.spec.base import Specification
 
 
+#: One linear atom ``coef * sum(x[columns]) <= bound``.
+Atom = Tuple[np.ndarray, float, float]
+
+
 class Cut:
-    """One infeasibility-certificate constraint (element of the set c)."""
+    """One infeasibility-certificate constraint (element of the set c).
 
-    __slots__ = ("formula", "description")
+    A cut is a formula, or -- as every cut of
+    :func:`repro.explore.certificates.generate_cuts` is -- sparse rows
+    over the template's
+    :class:`~repro.arch.template.StructuralColumns`: a disjunction of
+    ``atoms``, with a ``key`` that names the rows for deduplication. A
+    row cut builds its formula from the columns' own variables on first
+    read and caches it.
+    """
 
-    def __init__(self, formula: Formula, description: str = "") -> None:
-        self.formula = formula
+    __slots__ = ("_formula", "description", "atoms", "variables", "key")
+
+    def __init__(self, formula: Optional[Formula], description: str = "") -> None:
+        self._formula = formula
         self.description = description
+        self.atoms: Tuple[Atom, ...] = ()
+        self.variables: Tuple[Var, ...] = ()
+        self.key: Optional[Hashable] = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        atoms: Tuple[Atom, ...],
+        variables: Tuple[Var, ...],
+        key: Hashable,
+        description: str,
+    ) -> "Cut":
+        """A cut of ``atoms`` over columns numbered like ``variables``."""
+        cut = cls(None, description)
+        cut.atoms, cut.variables, cut.key = atoms, variables, key
+        return cut
+
+    @property
+    def formula(self) -> Formula:
+        if self._formula is None:
+            variables = self.variables
+            # ``0.0 - bound``, not ``-bound``: a zero bound must give the
+            # +0.0 constant ``expr <= 0`` gives, or the formula key differs.
+            comparisons = [
+                Comparison(
+                    LinExpr({variables[j]: coef for j in cols.tolist()}, 0.0 - bound),
+                    Sense.LE,
+                )
+                for cols, coef, bound in self.atoms
+            ]
+            self._formula = (
+                comparisons[0] if len(comparisons) == 1 else Or(*comparisons)
+            )
+        return self._formula
 
     def __repr__(self) -> str:
         return f"Cut({self.description or self.formula!r})"

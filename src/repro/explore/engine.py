@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
 
 from repro.exceptions import ExplorationError, NoFeasibleArchitectureError
 from repro.arch.architecture import CandidateArchitecture
@@ -243,7 +243,7 @@ class ContrArcExplorer:
         oracle_before = self.checker.oracle.stats.to_dict()
         stats = ExplorationStats()
         cuts: List[Cut] = []
-        seen_cut_keys: Set[str] = set()
+        seen_cut_keys: Set[Hashable] = set()
         embedding_cache = EmbeddingCache()
         # Emitted cuts kept out of the model until a candidate violates
         # one (see the module docstring).
@@ -354,8 +354,9 @@ class ContrArcExplorer:
                             ):
                                 # Distinct (viewpoint, path) violations
                                 # often certify overlapping fragments;
-                                # keep one row per distinct cut constraint.
-                                key = formula_key(cut.formula)
+                                # keep one cut per distinct constraint.
+                                # A cut without rows is keyed by formula.
+                                key = cut.key or formula_key(cut.formula)
                                 if key in seen_cut_keys:
                                     continue
                                 seen_cut_keys.add(key)

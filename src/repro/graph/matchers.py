@@ -11,10 +11,12 @@ the tests' independent oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.digraph import DiGraph, NodeId
-from repro.graph.isomorphism import Embedding, find_embeddings
+from repro.graph.isomorphism import find_embeddings
 
 __all__ = ["EmbeddingCache", "find_embeddings"]
 
@@ -25,7 +27,10 @@ class EmbeddingCache:
     The exploration loop re-derives the same detached fragment across
     many iterations (the host template never changes within a run), so
     :func:`repro.explore.certificates.generate_cuts` can skip repeated
-    enumeration entirely. Keys cover everything the result depends on:
+    enumeration entirely. It stores each enumeration as an
+    (embeddings x pattern nodes) array of host node indices, laid out
+    by the caller; the array is made read-only, so a hit hands out the
+    stored array itself. Keys cover everything the result depends on:
     the pattern's full structure (nodes with labels, edges) and the
     symmetry colors supplied by the caller. The host is deliberately
     *not* part of the key — one cache serves one exploration run over
@@ -35,7 +40,7 @@ class EmbeddingCache:
     __slots__ = ("_store", "hits", "misses")
 
     def __init__(self) -> None:
-        self._store: Dict[Hashable, List[Embedding]] = {}
+        self._store: Dict[Hashable, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -56,14 +61,14 @@ class EmbeddingCache:
         edges: Tuple = tuple(sorted(pattern.edges(), key=str))
         return (nodes, edges)
 
-    def get(self, key: Hashable) -> Optional[List[Embedding]]:
+    def get(self, key: Hashable) -> Optional[np.ndarray]:
         found = self._store.get(key)
         if found is not None:
             self.hits += 1
-            # Copy the mappings: callers treat embeddings as their own.
-            return [dict(embedding) for embedding in found]
-        self.misses += 1
-        return None
+        else:
+            self.misses += 1
+        return found
 
-    def put(self, key: Hashable, embeddings: List[Embedding]) -> None:
-        self._store[key] = [dict(embedding) for embedding in embeddings]
+    def put(self, key: Hashable, images: np.ndarray) -> None:
+        images.flags.writeable = False
+        self._store[key] = images

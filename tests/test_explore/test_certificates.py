@@ -1,10 +1,15 @@
 """Tests for Algorithm 2 (subgraph-isomorphism certificate generation)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.architecture import CandidateArchitecture
+from repro.casestudies import epn, rpl
 from repro.explore.certificates import generate_cuts, implementation_search
+from repro.explore.cut_pool import _Block
+from repro.explore.engine import ContrArcExplorer, ExplorationStatus
 from repro.explore.refinement_check import RefinementChecker
+from repro.runtime.job import SCENARIOS
 
 
 def _violating_candidate(mt, worker="w1"):
@@ -140,3 +145,63 @@ class TestCutGeneration:
         )
         assignment = bigger.structural_assignment()
         assert all(cut.formula.evaluate(assignment) for cut in cuts)
+
+
+# -- rows and formulas agree on real runs -----------------------------------------
+
+AGREEMENT_RUNS = {
+    f"epn{sizes} {scenario}": (lambda s=sizes: epn.build_problem(*s), scenario)
+    for sizes in [(1, 0, 0), (2, 0, 0), (1, 1, 0)]
+    for scenario in ("complete", "only-iso")
+}
+AGREEMENT_RUNS["rpl(2,2)"] = (lambda: rpl.build_problem(2, 2), "complete")
+
+
+def _emitted(build, scenario, monkeypatch):
+    """The run's result and every (candidate, cuts) of its
+    ``generate_cuts`` calls, duplicates included."""
+    calls = []
+
+    def recording(mapping_template, candidate, violation, **kwargs):
+        cuts = generate_cuts(mapping_template, candidate, violation, **kwargs)
+        calls.append((candidate, cuts))
+        return cuts
+
+    monkeypatch.setattr("repro.explore.engine.generate_cuts", recording)
+    mt, spec = build()
+    result = ContrArcExplorer(
+        mt, spec, max_iterations=200, **SCENARIOS[scenario]
+    ).explore()
+    return mt, result, calls
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_RUNS))
+def test_row_verdicts_match_formula_evaluate(name, monkeypatch):
+    mt, result, calls = _emitted(*AGREEMENT_RUNS[name], monkeypatch)
+    assert result.status is ExplorationStatus.OPTIMAL
+    columns = mt.structural_columns
+    points = np.random.default_rng(17).integers(0, 2, (50, len(columns.variables)))
+    for candidate, cuts in calls:
+        assert all(cut.atoms for cut in cuts)
+        block = _Block.of(cuts, len(columns.variables))
+        at_candidate = block.satisfied(columns.point(candidate)).tolist()
+        values = candidate.structural_assignment()
+        assert at_candidate == [cut.formula.evaluate(values) for cut in cuts]
+        for point in points:
+            values = dict(zip(columns.variables, point.tolist()))
+            assert block.satisfied(point).tolist() == [
+                cut.formula.evaluate(values) for cut in cuts
+            ]
+    if name == "epn(2, 0, 0) only-iso":
+        # Every cut is a whole-candidate (grow OR exclude) disjunction.
+        assert [len(cut.atoms) for cut in result.cuts] == [2] * 112
+
+
+def test_rpl_2_2_trajectory_is_pinned():
+    mt, spec = rpl.build_problem(2, 2)
+    result = ContrArcExplorer(mt, spec, max_iterations=200).explore()
+    stats = result.stats
+    assert result.cost == 51
+    assert stats.num_iterations == 18
+    assert stats.total_cuts == 960
+    assert stats.final_milp_constraints == 1096

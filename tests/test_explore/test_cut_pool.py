@@ -10,9 +10,11 @@ Pinned here, per case study and backend:
 * the pool flushes at most once per run (the one-way switch to eager
   activation), and on RPL most cuts stay out of the model.
 
-Plus unit tests of the pool's own evaluation against ``Formula.evaluate``.
+Plus unit tests of the pool's own row evaluation against
+``Formula.evaluate`` of the same cuts.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch.architecture import CandidateArchitecture
@@ -20,8 +22,6 @@ from repro.casestudies import epn, rpl, wsn
 from repro.explore.cut_pool import CutPool
 from repro.explore.encoding import Cut, build_candidate_milp
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
-from repro.expr.constraints import Or
-from repro.expr.terms import LinExpr
 from repro.solver.feasibility import get_backend
 
 CASES = [
@@ -89,6 +89,20 @@ def test_rpl_keeps_most_cuts_out_of_the_model():
 # -- CutPool unit tests --------------------------------------------------------
 
 
+def _row_cut(columns, *atoms):
+    """A cut carrying rows: ``(variables, coef, bound)`` atoms."""
+    index = {var: j for j, var in enumerate(columns.variables)}
+    return Cut.from_rows(
+        tuple(
+            (np.array([index[var] for var in variables]), coef, bound)
+            for variables, coef, bound in atoms
+        ),
+        columns.variables,
+        None,
+        "",
+    )
+
+
 def _candidate_and_cuts():
     """RPL(2,2)'s first candidate, one selected and one unselected edge
     key, and cuts of every shape the pool handles."""
@@ -99,24 +113,27 @@ def _candidate_and_cuts():
     candidate = CandidateArchitecture.from_assignment(
         mapping_template, solved.assignment
     )
+    columns = mapping_template.structural_columns
     edge_vars = mapping_template.edge_vars()
     unselected_keys = [
         key for key in edge_vars if key not in set(candidate.selected_edges)
     ]
-    selected = edge_vars[candidate.selected_edges[0]].to_expr()
-    unselected = edge_vars[unselected_keys[0]].to_expr()
+    selected = edge_vars[candidate.selected_edges[0]]
+    unselected = edge_vars[unselected_keys[0]]
+    grown = [edge_vars[key] for key in unselected_keys[:2]]
     cuts = {
-        "violated": Cut(selected <= 0),
-        "held": Cut(unselected <= 0),
-        "or_held": Cut(Or(selected <= 0, unselected <= 0)),
-        "or_violated": Cut(
-            Or(
-                selected <= 0,
-                LinExpr.sum(edge_vars[key] for key in unselected_keys[:2]) >= 1,
-            )
+        "violated": _row_cut(columns, ([selected], 1.0, 0.0)),
+        "held": _row_cut(columns, ([unselected], 1.0, 0.0)),
+        "or_held": _row_cut(
+            columns, ([selected], 1.0, 0.0), ([unselected], 1.0, 0.0)
         ),
-        "opaque": Cut(~(selected <= 0)),
+        "or_violated": _row_cut(
+            columns, ([selected], 1.0, 0.0), (grown, -1.0, -1.0)
+        ),
+        # Cuts that carry only a formula, even a row-shaped one.
+        "opaque": Cut(~(selected.to_expr() <= 0)),
         "opaque_eq": Cut((selected + unselected).eq(1)),
+        "opaque_le": Cut(unselected.to_expr() <= 0),
     }
     return mapping_template, candidate, unselected_keys[0], cuts
 
@@ -139,8 +156,8 @@ class TestCutPool:
     def test_opaque_cuts_are_activated_not_pooled(self):
         mapping_template, candidate, _, cuts = _candidate_and_cuts()
         pool = CutPool(mapping_template)
-        # Both hold here, but the pool evaluates only ``<=`` atoms.
-        opaque = [cuts["opaque"], cuts["opaque_eq"]]
+        # All hold here, but the pool evaluates only rows.
+        opaque = [cuts["opaque"], cuts["opaque_eq"], cuts["opaque_le"]]
         assert pool.offer(opaque, candidate) == opaque
         assert len(pool) == 0
 

@@ -6,6 +6,7 @@ oracle it must agree with.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.graph import matchers
@@ -89,13 +90,16 @@ class TestEmbeddingCache:
         reversed_edge.add_edge("b", "a")
         assert key != EmbeddingCache.key(reversed_edge, {"a": "x", "b": "y"})
 
-    def test_hits_misses_and_copies(self):
+    def test_hits_misses_and_read_only(self):
         cache = EmbeddingCache()
         key = EmbeddingCache.key(_pattern())
         assert cache.get(key) is None
-        cache.put(key, [{"a": "1", "b": "2"}])
+        images = np.array([[1, 2]])
+        cache.put(key, images)
         found = cache.get(key)
-        assert found == [{"a": "1", "b": "2"}]
-        found[0]["a"] = "mutated"
-        assert cache.get(key) == [{"a": "1", "b": "2"}]
+        # A hit is the stored array itself, which nobody may mutate.
+        assert found is images
+        with pytest.raises(ValueError):
+            found[0, 0] = 3
+        assert cache.get(key).tolist() == [[1, 2]]
         assert (cache.hits, cache.misses) == (2, 1)
