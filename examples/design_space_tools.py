@@ -4,7 +4,7 @@
 Uses the EPN case study to demonstrate the utilities around the core
 exploration loop:
 
-1. enumerate the three cheapest *valid* power networks (TopKExplorer);
+1. enumerate the three cheapest *valid* power networks (explore(k=3));
 2. audit the winner's margins against every system requirement;
 3. save the design space to JSON and reload it;
 4. deliberately over-demand the loads and ask the IIS diagnoser *why*
@@ -16,14 +16,15 @@ Run:  python examples/design_space_tools.py
 from repro.arch.io import load_problem, save_problem
 from repro.arch.template import MappingTemplate
 from repro.casestudies import epn
-from repro.explore import TopKExplorer, audit_architecture
+from repro.explore import ContrArcExplorer, audit_architecture
 from repro.solver.diagnostics import diagnose_infeasible_exploration
 
 
 def main():
     print("=== 1. top-3 valid architectures (EPN 1,0,0) ===")
     mapping_template, specification = epn.build_problem(1, 0, 0)
-    top = TopKExplorer(mapping_template, specification, k=3).explore()
+    explorer = ContrArcExplorer(mapping_template, specification)
+    top = explorer.explore(k=3).architectures
     for rank, architecture in enumerate(top, start=1):
         picks = ", ".join(
             f"{name}={impl.name}"

@@ -20,7 +20,7 @@ Commands:
   queries, per-iteration critical path, cache effectiveness), render it
   as a self-contained HTML dashboard
   (``--html``), merge a sweep journal into a fleet view (``--sweep``),
-  or diff two traces / benchmark twins (``obs diff BASE OTHER``).
+  or diff two traces (``obs diff BASE OTHER``).
 
 The exploration commands (and ``table2``/``sweep``) accept ``--trace
 FILE [--trace-format {jsonl,chrome}]`` to record a hierarchical run
@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 from repro.casestudies import epn, rpl, wsn
 from repro.explore.audit import audit_architecture
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
-from repro.explore.enumeration import TopKExplorer
 from repro.graph.dot import write_dot
 from repro.reporting.tables import format_seconds, render_table
 
@@ -351,19 +350,17 @@ def _cmd_wsn(args) -> int:
 
 def _cmd_topk(args) -> int:
     mapping_template, specification = CASE_BUILDERS[args.case](args)
-    explorer = TopKExplorer(
+    result = ContrArcExplorer(
         mapping_template,
         specification,
-        k=args.k,
         backend=args.backend,
         max_iterations=args.max_iterations,
         time_limit=args.time_limit,
-    )
-    architectures = explorer.explore()
-    if not architectures:
-        print("no valid architecture exists")
+    ).explore(k=args.k)
+    if not result.architectures:
+        print(f"no valid architecture found ({result.status.value})")
         return 1
-    for rank, architecture in enumerate(architectures, start=1):
+    for rank, architecture in enumerate(result.architectures, start=1):
         picks = ", ".join(
             f"{name}={impl.name}"
             for name, impl in sorted(architecture.selected_impls.items())
@@ -927,14 +924,14 @@ def build_parser() -> argparse.ArgumentParser:
         "repro obs TRACE --html OUT.html  self-contained dashboard; "
         "repro obs --sweep JOURNAL [--html OUT]  fleet view; "
         "repro obs diff BASE OTHER [--fail-on-regression PCT]  compare "
-        "two traces or BENCH_*.json twins",
+        "two traces",
     )
     obs_cmd.add_argument(
         "paths",
         nargs="*",
         metavar="TRACE | diff BASE OTHER",
         help="a trace file written with --trace, or the literal word "
-        "'diff' followed by two traces / benchmark twins",
+        "'diff' followed by two traces",
     )
     obs_cmd.add_argument(
         "--top", type=int, default=10, help="how many slowest queries to list"

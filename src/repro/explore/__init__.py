@@ -1,6 +1,11 @@
 """The ContrArc exploration engine and baselines."""
 
-from repro.explore.encoding import Cut, build_candidate_milp, cost_expression
+from repro.explore.encoding import (
+    Cut,
+    build_candidate_milp,
+    cost_expression,
+    exclude_candidate_cut,
+)
 from repro.explore.refinement_check import (
     RefinementCheck,
     RefinementChecker,
@@ -23,7 +28,6 @@ from repro.explore.compositional import (
     CompositionalResult,
     SubsystemStage,
 )
-from repro.explore.enumeration import TopKExplorer, exclude_candidate_cut
 from repro.explore.audit import (
     ArchitectureAudit,
     AuditEntry,
@@ -31,8 +35,6 @@ from repro.explore.audit import (
 )
 
 __all__ = [
-    "TopKExplorer",
-    "exclude_candidate_cut",
     "ArchitectureAudit",
     "AuditEntry",
     "audit_architecture",
@@ -45,6 +47,7 @@ __all__ = [
     "Cut",
     "build_candidate_milp",
     "cost_expression",
+    "exclude_candidate_cut",
     "RefinementCheck",
     "RefinementChecker",
     "Violation",

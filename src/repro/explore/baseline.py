@@ -30,7 +30,6 @@ equivalence checks against the refinement oracle.
 from __future__ import annotations
 
 import math
-import time
 from typing import List, Optional, Sequence
 
 from repro.exceptions import ExplorationError
@@ -41,11 +40,13 @@ from repro.explore.engine import (
     ContrArcExplorer,
     ExplorationResult,
     ExplorationStatus,
+    _charge_phases,
 )
 from repro.explore.stats import ExplorationStats, IterationRecord
 from repro.expr.constraints import Formula, Implies, conjunction
 from repro.expr.terms import LinExpr
 from repro.graph.paths import all_source_sink_paths
+from repro.obs.trace import Tracer
 from repro.solver.feasibility import get_backend
 from repro.solver.result import SolveStatus
 from repro.spec.base import Specification
@@ -106,12 +107,10 @@ class MonolithicExplorer:
         mapping_template: MappingTemplate,
         specification: Specification,
         backend: str = "scipy",
-        max_path_length: int = 0,
     ) -> None:
         self.mapping_template = mapping_template
         self.specification = specification
         self.backend = backend
-        self.max_path_length = max_path_length
 
     # -- system constraint compilation ------------------------------------------
 
@@ -146,9 +145,7 @@ class MonolithicExplorer:
         sources = [c.name for c in template.source_components()]
         sinks = [c.name for c in template.sink_components()]
         formulas: List[Formula] = []
-        for path in all_source_sink_paths(
-            graph, sources, sinks, max_length=self.max_path_length
-        ):
+        for path in all_source_sink_paths(graph, sources, sinks):
             if len(path) < 2:
                 continue
             edges = [
@@ -177,28 +174,34 @@ class MonolithicExplorer:
     # -- solve ---------------------------------------------------------------------
 
     def explore(self) -> ExplorationResult:
-        """Build and solve the single monolithic MILP."""
-        started = time.perf_counter()
+        """Build and solve the single monolithic MILP.
+
+        Timed like ContrArc: a ``run`` span of a sink-less tracer, with
+        the model build in a ``matrix_build`` phase and the solve in
+        ``milp_solve``, so ``milp_time`` is build plus solve.
+        """
+        tracer = Tracer()
         stats = ExplorationStats()
         record = IterationRecord(1)
-
-        t0 = time.perf_counter()
-        model = build_candidate_milp(
-            self.mapping_template,
-            self.specification,
-            cuts=(),
-            extra_constraints=self.system_constraints(),
-            name="monolithic",
-        )
-        solve_result = get_backend(self.backend)(model)
-        record.milp_time = time.perf_counter() - t0
-        stats.milp_variables = model.num_variables
-        stats.milp_constraints = model.num_constraints
+        with tracer.span("run", backend=self.backend) as run:
+            with _charge_phases(record, tracer.metrics):
+                with tracer.phase("matrix_build"):
+                    model = build_candidate_milp(
+                        self.mapping_template,
+                        self.specification,
+                        cuts=(),
+                        extra_constraints=self.system_constraints(),
+                        name="monolithic",
+                    )
+                with tracer.phase("milp_solve"):
+                    solve_result = get_backend(self.backend)(model)
+            stats.milp_variables = model.num_variables
+            stats.milp_constraints = model.num_constraints
+            stats.record(record)
+        stats.total_time = run.duration
 
         if solve_result.status is SolveStatus.INFEASIBLE:
-            stats.record(record)
-            stats.total_time = time.perf_counter() - started
-            return ExplorationResult(ExplorationStatus.INFEASIBLE, None, stats, [])
+            return ExplorationResult(ExplorationStatus.INFEASIBLE, [], stats, [])
         if solve_result.status is not SolveStatus.OPTIMAL:
             raise ExplorationError(
                 f"monolithic MILP ended with status {solve_result.status.value}"
@@ -207,6 +210,4 @@ class MonolithicExplorer:
             self.mapping_template, solve_result.assignment
         )
         record.candidate_cost = candidate.cost
-        stats.record(record)
-        stats.total_time = time.perf_counter() - started
-        return ExplorationResult(ExplorationStatus.OPTIMAL, candidate, stats, [])
+        return ExplorationResult(ExplorationStatus.OPTIMAL, [candidate], stats, [])

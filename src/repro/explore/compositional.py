@@ -15,7 +15,6 @@ split (line A against an aggregated line B, then line B proper).
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ExplorationError
@@ -25,6 +24,7 @@ from repro.explore.engine import (
     ExplorationResult,
     ExplorationStatus,
 )
+from repro.obs.trace import Tracer
 from repro.spec.base import Specification
 
 #: A stage builder receives the results of all earlier stages and
@@ -119,29 +119,34 @@ class CompositionalExplorer:
         self.max_iterations = max_iterations
 
     def explore(self) -> CompositionalResult:
-        started = time.perf_counter()
+        """Run the stages in order, stopping at the first that is not
+        optimal or fails its compatibility check.
+
+        All stages share one sink-less tracer: each stage's ``run`` span
+        sits inside a ``stage`` span, and ``total_time`` is the root
+        span's duration.
+        """
+        tracer = Tracer()
         results: Dict[str, ExplorationResult] = {}
         compatible = True
-        for stage in self.stages:
-            mapping_template, specification = stage.build(results)
-            explorer = ContrArcExplorer(
-                mapping_template,
-                specification,
-                backend=self.backend,
-                use_isomorphism=self.use_isomorphism,
-                use_decomposition=self.use_decomposition,
-                max_iterations=self.max_iterations,
-            )
-            result = explorer.explore()
-            results[stage.name] = result
-            if result.status is not ExplorationStatus.OPTIMAL:
-                return CompositionalResult(
-                    results, time.perf_counter() - started, compatible
-                )
-            if stage.compatibility_check is not None:
-                if not stage.compatibility_check(results):
+        with tracer.span("compositional") as root:
+            for stage in self.stages:
+                with tracer.span("stage", stage=stage.name):
+                    mapping_template, specification = stage.build(results)
+                    result = ContrArcExplorer(
+                        mapping_template,
+                        specification,
+                        backend=self.backend,
+                        use_isomorphism=self.use_isomorphism,
+                        use_decomposition=self.use_decomposition,
+                        max_iterations=self.max_iterations,
+                        tracer=tracer,
+                    ).explore()
+                results[stage.name] = result
+                if result.status is not ExplorationStatus.OPTIMAL:
+                    break
+                check = stage.compatibility_check
+                if check is not None and not check(results):
                     compatible = False
-                    return CompositionalResult(
-                        results, time.perf_counter() - started, compatible
-                    )
-        return CompositionalResult(results, time.perf_counter() - started, compatible)
+                    break
+        return CompositionalResult(results, root.duration, compatible)

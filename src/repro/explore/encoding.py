@@ -16,6 +16,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.architecture import CandidateArchitecture
 from repro.arch.template import MappingTemplate
 from repro.expr.constraints import Comparison, Formula, Or, Sense
 from repro.expr.terms import LinExpr, Var
@@ -82,6 +83,18 @@ class Cut:
 
     def __repr__(self) -> str:
         return f"Cut({self.description or self.formula!r})"
+
+
+def exclude_candidate_cut(
+    mapping_template: MappingTemplate, candidate: CandidateArchitecture
+) -> Cut:
+    """No-good cut excluding exactly one structural assignment."""
+    assignment = candidate.structural_assignment()
+    selected = [var for var, value in assignment.items() if value >= 0.5]
+    unselected = [var for var, value in assignment.items() if value < 0.5]
+    # sum(selected) - sum(unselected) <= |selected| - 1.
+    expr = LinExpr.sum(selected) - LinExpr.sum(unselected)
+    return Cut(expr <= len(selected) - 1, "accepted-solution no-good")
 
 
 def cost_expression(mapping_template: MappingTemplate) -> LinExpr:

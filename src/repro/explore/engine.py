@@ -11,6 +11,13 @@ Iterate:
    :class:`~repro.exceptions.ExplorationError` rather than stall);
 4. otherwise the candidate is the optimum of Problem 1.
 
+``explore(k)`` goes on past the optimum: each accepted candidate is
+excluded by its exact no-good cut
+(:func:`~repro.explore.encoding.exclude_candidate_cut`) and the loop
+continues, so the next accepted candidate is the next-cheapest valid
+architecture. Certificate cuts keep accumulating across acceptances,
+so the search never revisits invalid regions.
+
 The two scalability levers of the paper map to constructor flags:
 ``use_isomorphism`` (certificate generalization over embeddings +
 implementation widening) and ``use_decomposition`` (path-by-path
@@ -42,7 +49,7 @@ from repro.arch.architecture import CandidateArchitecture
 from repro.arch.template import MappingTemplate
 from repro.explore.certificates import generate_cuts
 from repro.explore.cut_pool import CutPool
-from repro.explore.encoding import Cut, build_candidate_milp
+from repro.explore.encoding import Cut, build_candidate_milp, exclude_candidate_cut
 from repro.explore.refinement_check import RefinementChecker, Violation
 from repro.explore.stats import ExplorationStats, IterationRecord
 from repro.graph.matchers import EmbeddingCache
@@ -109,23 +116,32 @@ class ExplorationStatus(enum.Enum):
 
 
 class ExplorationResult:
-    """Outcome of one exploration run."""
+    """Outcome of one exploration run.
 
-    __slots__ = ("status", "architecture", "stats", "cuts", "last_violation")
+    ``architectures`` lists the accepted architectures in non-decreasing
+    cost order (at most ``k`` of :meth:`ContrArcExplorer.explore`);
+    ``architecture`` is the first of them, the optimum.
+    """
+
+    __slots__ = ("status", "architectures", "stats", "cuts", "last_violation")
 
     def __init__(
         self,
         status: ExplorationStatus,
-        architecture: Optional[CandidateArchitecture],
+        architectures: List[CandidateArchitecture],
         stats: ExplorationStats,
         cuts: List[Cut],
         last_violation: Optional[Violation] = None,
     ) -> None:
         self.status = status
-        self.architecture = architecture
+        self.architectures = architectures
         self.stats = stats
         self.cuts = cuts
         self.last_violation = last_violation
+
+    @property
+    def architecture(self) -> Optional[CandidateArchitecture]:
+        return self.architectures[0] if self.architectures else None
 
     @property
     def is_optimal(self) -> bool:
@@ -228,14 +244,20 @@ class ContrArcExplorer:
 
     # -- main loop -------------------------------------------------------------
 
-    def explore(self) -> ExplorationResult:
-        """Run the select/verify/prune loop to the optimal architecture.
+    def explore(self, k: int = 1) -> ExplorationResult:
+        """Run the select/verify/prune loop to the ``k`` cheapest valid
+        architectures (the optimum alone by default).
+
+        The status is ``OPTIMAL`` once one architecture is accepted;
+        fewer than ``k`` means the space ran out or a limit was hit.
 
         The run is timed by its phase spans only: ``self.tracer``, or a
         fresh sink-less :class:`~repro.obs.trace.Tracer` when none is
         bound. Per-iteration times, ``stats.total_time`` and
         ``stats.phase_profile`` are all read back from those spans.
         """
+        if k < 1:
+            raise ExplorationError("k must be at least 1")
         tracer = self.tracer or Tracer()
         self.checker.tracer = tracer
         metrics = tracer.metrics
@@ -250,7 +272,7 @@ class ContrArcExplorer:
         pool = CutPool(self.mapping_template)
         eager = False
         status = ExplorationStatus.ITERATION_LIMIT
-        architecture: Optional[CandidateArchitecture] = None
+        architectures: List[CandidateArchitecture] = []
         last_violation: Optional[Violation] = None
         with tracer.span(
             "run",
@@ -324,10 +346,20 @@ class ContrArcExplorer:
                             metrics.counter(f"verify_{key}", value)
 
                     if not violations:
+                        architectures.append(candidate)
+                        last_violation = None
+                        if len(architectures) == k:
+                            stats.record(record)
+                            break
+                        # Exclude exactly this architecture; the next
+                        # accepted candidate is the next-cheapest one.
+                        cut = exclude_candidate_cut(self.mapping_template, candidate)
+                        cut_encoder.enforce(cut.formula)
+                        record.cuts_added = 1
+                        span.attrs["cuts_added"] = 1
+                        cuts.append(cut)
                         stats.record(record)
-                        status = ExplorationStatus.OPTIMAL
-                        architecture, last_violation = candidate, None
-                        break
+                        continue
 
                     last_violation = violations[0]
                     record.violated_viewpoint = violations[0].viewpoint.name
@@ -384,6 +416,8 @@ class ContrArcExplorer:
                     cuts.extend(added)
                     stats.record(record)
 
+            if architectures:
+                status = ExplorationStatus.OPTIMAL
             stats.final_milp_variables = model.num_variables
             stats.final_milp_constraints = model.num_constraints
             oracle_after = self.checker.oracle.stats.to_dict()
@@ -400,14 +434,14 @@ class ContrArcExplorer:
             metrics.counter("embedding_cache_misses", embedding_cache.misses)
             run.attrs.update(
                 status=status.value,
-                cost=architecture.cost if architecture is not None else None,
+                cost=architectures[0].cost if architectures else None,
                 iterations=stats.num_iterations,
                 cuts=stats.total_cuts,
             )
         stats.total_time = run.duration
         if self.profile:
             stats.phase_profile = _phase_profile(metrics, metrics_before)
-        return ExplorationResult(status, architecture, stats, cuts, last_violation)
+        return ExplorationResult(status, architectures, stats, cuts, last_violation)
 
     def _candidate_solver(
         self, model: Model, tracer: Tracer

@@ -3,9 +3,8 @@
 Successive exploration candidates differ by a handful of component
 mappings, yet Algorithm 1 re-verifies every (viewpoint, path) pair per
 candidate from scratch. The oracle cache already proves the underlying
-sat queries repeat across iterations (48% cold hit rate in
-``BENCH_runtime_sweep.json``) — but even a cache *hit* pays for contract
-substitution, composition and canonical hashing first. This module
+sat queries repeat across iterations — but even a cache *hit* pays for
+contract substitution, composition and canonical hashing first. This module
 closes the gap one level up, at the plan-entry granularity:
 
 * :class:`DependencySlicer` computes, for each plan entry, a *dependency

@@ -1,25 +1,25 @@
 """Trace regression diffing: ``python -m repro obs diff BASE OTHER``.
 
-Compares two runs of the same workload — either two ``--trace`` files
-(JSONL or Chrome, mixed freely) or two ``BENCH_*.json`` benchmark twins
-— phase-by-phase and counter-by-counter, and renders a signed-delta
-table. With ``--fail-on-regression PCT`` it exits non-zero when any
-**time-like** metric grew by more than PCT percent, which is what the
-CI perf gate runs: a dashboard artifact plus a self-diff that must be
-all zeros.
+Compares two ``--trace`` files of the same workload (JSONL or Chrome,
+mixed freely) phase-by-phase and counter-by-counter, and renders a
+signed-delta table. With ``--fail-on-regression PCT`` it exits non-zero
+when any **time-like** metric grew by more than PCT percent, which is
+what the CI perf gate runs: a dashboard artifact plus a self-diff that
+must be all zeros.
 
 Gating semantics:
 
-* only time-like metrics gate (phase seconds, run/iteration wall
-  clock, benchmark ``*_time`` / ``wall_clock`` values and everything
-  under a ``phases`` subtree) — counters and cache totals are
+* only time-like metrics gate (phase seconds, run wall clock,
+  latency histogram quantiles) — counters and cache totals are
   informational, because "more oracle hits" is not a regression;
 * percent change is computed only when the base value is nonzero;
   metrics that appear or disappear are reported but never gate, since
   a feature flag flipping a counter on is not a slowdown;
 * exit codes: 0 clean (or regressions within threshold), 1 regression
-  past the threshold, 2 unreadable input — the same 2-for-errors the
-  other ``obs`` entry points use.
+  past the threshold, 2 unreadable input (including a JSON file that is
+  not a trace) — the same 2-for-errors the other ``obs`` entry points
+  use. Benchmark results are compared by
+  ``benchmarks/harness/agreement.py``, not here.
 """
 
 from __future__ import annotations
@@ -99,41 +99,21 @@ def trace_metrics(trace: Trace) -> Dict[str, float]:
     return metrics
 
 
-def bench_metrics(document: Any, prefix: str = "") -> Dict[str, float]:
-    """Flatten a ``BENCH_*.json`` twin into dotted scalar metrics.
-
-    Nested dicts concatenate keys with ``.``; only int/float leaves are
-    kept (status strings and implementation lists don't diff
-    numerically).
-    """
-    metrics: Dict[str, float] = {}
-    if isinstance(document, dict):
-        for key, value in document.items():
-            inner = f"{prefix}.{key}" if prefix else str(key)
-            metrics.update(bench_metrics(value, inner))
-    elif isinstance(document, bool):
-        pass
-    elif isinstance(document, (int, float)):
-        metrics[prefix] = float(document)
-    return metrics
-
-
 def _is_time_like(metric: str) -> bool:
     if metric.startswith(("counter.", "hist.")):
         # hist.*.p95 / .mean ARE time-like for latency histograms.
         return metric.startswith("hist.") and metric.endswith((".p95", ".mean"))
-    if ".phases." in metric or metric.startswith("phase."):
+    if metric.startswith("phase."):
         return not metric.endswith(".calls")
-    leaf = metric.rsplit(".", 1)[-1]
-    return leaf.endswith(_TIME_SUFFIXES) or leaf in ("wall_clock", "wall")
+    return metric.rsplit(".", 1)[-1].endswith(_TIME_SUFFIXES)
 
 
 def load_metrics(path: str) -> Dict[str, float]:
-    """Load either input kind, auto-detected from the file content.
+    """Load a JSONL or Chrome trace's metrics.
 
-    A file whose whole body parses as one JSON object is a benchmark
-    twin (or a Chrome trace, routed through the trace loader); anything
-    else is treated as a JSONL trace.
+    A file whose whole body parses as one JSON value must be a Chrome
+    trace or a one-line JSONL trace header; any other JSON document
+    raises :class:`ValueError`.
     """
     with open(path, "r", encoding="utf-8") as stream:
         body = stream.read()
@@ -141,12 +121,11 @@ def load_metrics(path: str) -> Dict[str, float]:
         document = json.loads(body)
     except json.JSONDecodeError:
         return trace_metrics(load_trace(path))
-    if isinstance(document, dict) and "traceEvents" in document:
+    if isinstance(document, dict) and (
+        "traceEvents" in document or document.get("type") == "trace"
+    ):
         return trace_metrics(load_trace(path))
-    if isinstance(document, dict) and document.get("type") == "trace":
-        # A single-line JSONL trace header parses as one JSON object.
-        return trace_metrics(load_trace(path))
-    return bench_metrics(document)
+    raise ValueError(f"{path}: not a trace")
 
 
 def diff_metrics(

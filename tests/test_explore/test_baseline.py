@@ -92,6 +92,13 @@ class TestMonolithic:
         checker = RefinementChecker(mt, spec)
         assert checker.check(mono.architecture) is None
 
+    def test_times_come_from_spans(self, problem):
+        mt, spec = problem
+        stats = MonolithicExplorer(mt, spec).explore().stats
+        # milp_time is build plus solve, inside the run span.
+        assert stats.total_time >= stats.milp_time > 0
+        assert stats.milp_time == stats.iterations[0].milp_time
+
 
 class TestLazyNoGood:
     def test_same_cost_more_iterations(self, problem):

@@ -78,6 +78,12 @@ class TestSequencing:
         with pytest.raises(ExplorationError):
             CompositionalExplorer([_stage("dup"), _stage("dup")])
 
+    def test_total_time_covers_the_stages(self):
+        result = CompositionalExplorer([_stage("a"), _stage("b")]).explore()
+        stage_times = [r.stats.total_time for r in result.stage_results.values()]
+        assert all(seconds > 0 for seconds in stage_times)
+        assert result.total_time >= sum(stage_times)
+
     def test_result_repr(self):
         result = CompositionalExplorer([_stage("a")]).explore()
         assert "a" in repr(result)

@@ -11,7 +11,7 @@ import pytest
 from repro.arch.io import problem_from_dict, problem_to_dict
 from repro.arch.template import MappingTemplate
 from repro.casestudies import epn, rpl
-from repro.explore import ContrArcExplorer, TopKExplorer, audit_architecture
+from repro.explore import ContrArcExplorer, audit_architecture
 from repro.explore.baseline import MonolithicExplorer, lazy_nogood_explorer
 from repro.explore.engine import ExplorationStatus
 
@@ -60,7 +60,8 @@ class TestStrategyAgreement:
             lazy_nogood_explorer(mt, spec, max_iterations=3000).explore().cost
         )
         mt, spec = rpl.build_problem(1)
-        costs["topk-first"] = TopKExplorer(mt, spec, k=1).explore()[0].cost
+        top = ContrArcExplorer(mt, spec, max_iterations=300).explore(k=3)
+        costs["topk-first"] = top.architectures[0].cost
         assert len({round(c, 6) for c in costs.values()}) == 1, costs
 
 

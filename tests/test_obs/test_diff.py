@@ -1,4 +1,4 @@
-"""Tests for trace/benchmark regression diffing (``repro obs diff``).
+"""Tests for trace regression diffing (``repro obs diff``).
 
 The exit-code matrix is part of the contract CI leans on: 0 for a
 clean (or within-threshold) comparison, 1 for a regression past the
@@ -8,9 +8,10 @@ threshold, 2 for unreadable input.
 import json
 import os
 
+import pytest
+
 from repro.obs.diff import (
     DiffEntry,
-    bench_metrics,
     diff_metrics,
     load_metrics,
     main as diff_main,
@@ -48,22 +49,16 @@ class TestMetricExtraction:
         assert metrics["counter.oracle_hits"] == 6
         assert metrics["hist.milp_solve_seconds.p95"] == 2.5
 
-    def test_bench_metrics_flatten(self):
-        document = {
-            "1,0,0": {"complete": {"wall_clock": 1.5, "iterations": 3,
-                                   "phases": {"milp": 0.9},
-                                   "status": "optimal"}},
-        }
-        metrics = bench_metrics(document)
-        assert metrics["1,0,0.complete.wall_clock"] == 1.5
-        assert metrics["1,0,0.complete.phases.milp"] == 0.9
-        assert "1,0,0.complete.status" not in metrics  # strings don't diff
-
     def test_load_metrics_autodetects(self, tmp_path):
+        assert load_metrics(MINI_TRACE)["run.wall_seconds"] == 10.0
+        # A one-line JSONL trace (just the header) parses as one object.
+        header = tmp_path / "header.jsonl"
+        header.write_text('{"type": "trace", "trace_id": "t"}\n')
+        assert load_metrics(str(header)) == {}
         bench = tmp_path / "BENCH_epn.json"
         bench.write_text(json.dumps({"1,0,0": {"complete": {"wall_clock": 2.0}}}))
-        assert load_metrics(str(bench)) == {"1,0,0.complete.wall_clock": 2.0}
-        assert load_metrics(MINI_TRACE)["run.wall_seconds"] == 10.0
+        with pytest.raises(ValueError, match="not a trace"):
+            load_metrics(str(bench))
 
 
 class TestGating:
@@ -148,6 +143,12 @@ class TestExitCodes:
         # missing their required keys.
         bad.write_text('{"type": "span", "name": "x"}\n{"type": "span"}\n')
         assert diff_main(str(bad), str(bad)) == 2
+
+    def test_json_that_is_not_a_trace_exits_two(self, tmp_path, capsys):
+        bench = tmp_path / "BENCH_epn.json"
+        bench.write_text(json.dumps({"1,0,0": {"complete": {"wall_clock": 2.0}}}))
+        assert diff_main(str(bench), str(bench)) == 2
+        assert "not a trace" in capsys.readouterr().err
 
 
 class TestJsonOutput:
