@@ -26,6 +26,11 @@ The exploration commands (and ``table2``/``sweep``) accept ``--trace
 FILE [--trace-format {jsonl,chrome}]`` to record a hierarchical run
 trace through :mod:`repro.obs`.
 
+Every job command (``rpl``/``epn``/``wsn``, ``table2``, ``topk``,
+``diagnose``, ``submit``) builds a :class:`repro.runtime.JobSpec` from
+the one table of per-case flags, :data:`CASE_FLAGS`, and runs that spec,
+so a ``--json`` record always describes the job that ran.
+
 Each exploration command prints the summary, an audit of the selected
 architecture, and optionally writes it as Graphviz DOT; ``--json``
 instead prints the machine-readable :class:`repro.runtime.JobResult`
@@ -42,37 +47,88 @@ from typing import Optional, Sequence
 
 from repro.casestudies import epn, rpl, wsn
 from repro.explore.audit import audit_architecture
-from repro.explore.engine import ContrArcExplorer, ExplorationStatus
+from repro.explore.engine import ExplorationStatus
 from repro.graph.dot import write_dot
 from repro.reporting.tables import format_seconds, render_table
 
-#: Case-study problem builders addressable from the command line. The
-#: ``--demand`` override scales the load (useful with ``diagnose`` to
-#: produce an explainable over-constrained space).
-CASE_BUILDERS = {
-    "rpl": lambda args: rpl.build_problem(
-        args.n_a, args.n_b, demand_a=args.demand
+#: Each case study's size and problem flags, declared once as ``(flag,
+#: JobSpec key, default)``. Keys named in
+#: :data:`repro.runtime.job.CASE_SIZE_ARGS` are template sizes
+#: (``JobSpec.sizes``); the others are ``build_problem`` constraints
+#: (``JobSpec.problem``).
+CASE_FLAGS = {
+    "rpl": (
+        ("--n-a", "n_a", 2),
+        ("--n-b", "n_b", 0),
+        ("--deadline", "deadline", rpl.DEFAULT_DEADLINE),
     ),
-    "epn": lambda args: epn.build_problem(
-        args.left, args.right, args.apu, load_demand=args.demand
+    "epn": (
+        ("--left", "left", 1),
+        ("--right", "right", 1),
+        ("--apu", "apu", 0),
+        ("--deadline", "deadline", epn.DEFAULT_DEADLINE),
+        ("--loss-budget", "loss_budget", epn.DEFAULT_LOSS_BUDGET),
     ),
-    "wsn": lambda args: wsn.build_problem(
-        args.sensors, args.relays, args.tiers, sensor_rate=args.demand
+    "wsn": (
+        ("--sensors", "num_sensors", 2),
+        ("--relays", "num_relays", 2),
+        ("--tiers", "tiers", 2),
+        ("--deadline", "deadline", wsn.DEFAULT_DEADLINE),
+        ("--min-reliability", "min_reliability", wsn.DEFAULT_MIN_RELIABILITY),
     ),
 }
 
+#: The ``build_problem`` load that ``--demand`` (topk/diagnose) scales,
+#: per case; left unset, the builder's own default applies.
+DEMAND_KEYS = {"rpl": "demand_a", "epn": "load_demand", "wsn": "sensor_rate"}
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-isomorphism",
-        action="store_true",
-        help="disable subgraph-isomorphism certificate generalization",
-    )
-    parser.add_argument(
-        "--no-decomposition",
-        action="store_true",
-        help="disable path-by-path refinement checking",
-    )
+
+def _add_case_flags(
+    parser: argparse.ArgumentParser, case: str, problem: bool = True
+) -> None:
+    """Declare CASE's size flags and, with ``problem``, its constraints."""
+    from repro.runtime.job import CASE_SIZE_ARGS
+
+    for flag, key, default in CASE_FLAGS[case]:
+        if key in CASE_SIZE_ARGS[case]:
+            parser.add_argument(flag, dest=key, type=int, default=default)
+        elif problem:
+            parser.add_argument(flag, dest=key, type=float, default=default)
+
+
+def _spec_from_args(case: str, args, **engine) -> "JobSpec":
+    """The JobSpec a command line describes.
+
+    Takes CASE's size and problem flags, ``--demand`` when given, and
+    whichever engine flags the command declares, on top of ``engine``.
+    """
+    from repro.runtime.job import CASE_SIZE_ARGS, JobSpec
+
+    sizes, problem = {}, {}
+    for _flag, key, _default in CASE_FLAGS[case]:
+        if hasattr(args, key):
+            target = sizes if key in CASE_SIZE_ARGS[case] else problem
+            target[key] = getattr(args, key)
+    if getattr(args, "demand", None) is not None:
+        problem[DEMAND_KEYS[case]] = args.demand
+    for key in ("backend", "max_iterations", "time_limit"):
+        if hasattr(args, key):
+            engine[key] = getattr(args, key)
+    if hasattr(args, "no_isomorphism"):  # see _add_lever_flags
+        engine["use_isomorphism"] = not args.no_isomorphism
+        engine["use_decomposition"] = not args.no_decomposition
+    # Non-default engine levers only, so default invocations keep their
+    # historical job ids.
+    if getattr(args, "no_incremental", False):
+        engine["incremental"] = False
+    if getattr(args, "no_multicut", False):
+        engine["multicut"] = False
+    if getattr(args, "profile", False):
+        engine["profile"] = True
+    return JobSpec(case, sizes=sizes, problem=problem, engine=engine)
+
+
+def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default="scipy",
@@ -85,11 +141,22 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--time-limit", type=float, default=None, help="wall-clock cap (s)"
     )
+
+
+def _add_lever_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--profile",
+        "--no-isomorphism",
         action="store_true",
-        help="collect and print a per-phase wall-clock breakdown",
+        help="disable subgraph-isomorphism certificate generalization",
     )
+    parser.add_argument(
+        "--no-decomposition",
+        action="store_true",
+        help="disable path-by-path refinement checking",
+    )
+
+
+def _add_incremental_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--incremental",
         dest="no_incremental",
@@ -107,20 +174,56 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="disable incremental re-use: stateless solver re-solves and "
         "from-scratch verification of every (viewpoint, path) pair",
     )
+
+
+def _add_submit_flags(
+    parser: argparse.ArgumentParser, suppress: bool = False
+) -> None:
+    """Declare submit's own flags.
+
+    On a CASE subparser ``suppress`` leaves unset flags out of its
+    namespace, so they do not overwrite values given before CASE.
+    """
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
     parser.add_argument(
-        "--no-multicut",
-        action="store_true",
-        help="generate certificates only for the first violation per iteration",
+        "--server",
+        default=default("http://127.0.0.1:8765"),
+        help="base URL of the job server",
+    )
+    parser.add_argument("--namespace", default=default("default"))
+    parser.add_argument(
+        "--priority",
+        type=int,
+        default=default(0),
+        help="higher runs first (FIFO within a priority)",
     )
     parser.add_argument(
-        "--dot", metavar="FILE", help="write the selected architecture as DOT"
+        "--wait",
+        action="store_true",
+        default=default(False),
+        help="poll until the job is terminal",
+    )
+    parser.add_argument(
+        "--stream",
+        action="store_true",
+        default=default(False),
+        help="follow the job's telemetry over SSE until it is terminal",
+    )
+    parser.add_argument(
+        "--poll-timeout",
+        type=float,
+        default=default(600.0),
+        help="give up waiting after this many seconds",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="print the machine-readable result record instead of the summary",
+        default=default(False),
+        help="print the terminal JobResult record (with --wait/--stream)",
     )
-    _add_trace_flags(parser)
 
 
 def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,46 +263,6 @@ def _finish_tracer(tracer, args) -> None:
     print(f"wrote trace {args.trace}", file=sys.stderr)
 
 
-def _make_explorer(
-    mapping_template, specification, args, tracer=None
-) -> ContrArcExplorer:
-    return ContrArcExplorer(
-        mapping_template,
-        specification,
-        backend=args.backend,
-        use_isomorphism=not args.no_isomorphism,
-        use_decomposition=not args.no_decomposition,
-        max_iterations=args.max_iterations,
-        time_limit=args.time_limit,
-        incremental=not getattr(args, "no_incremental", False),
-        multicut=not getattr(args, "no_multicut", False),
-        profile=getattr(args, "profile", False),
-        tracer=tracer,
-    )
-
-
-def _case_spec(case: str, args, sizes, problem) -> "JobSpec":
-    """Mirror the CLI invocation as a runtime JobSpec (for --json ids)."""
-    from repro.runtime.job import JobSpec
-
-    engine = {
-        "backend": args.backend,
-        "use_isomorphism": not args.no_isomorphism,
-        "use_decomposition": not args.no_decomposition,
-        "max_iterations": args.max_iterations,
-        "time_limit": args.time_limit,
-    }
-    # Non-default engine levers only, so default invocations keep their
-    # historical job ids.
-    if getattr(args, "no_incremental", False):
-        engine["incremental"] = False
-    if getattr(args, "no_multicut", False):
-        engine["multicut"] = False
-    if getattr(args, "profile", False):
-        engine["profile"] = True
-    return JobSpec(case, sizes=sizes, problem=problem, engine=engine)
-
-
 def _emit_json(spec, result, duration: float) -> int:
     """Print the machine-readable record the sweep aggregator consumes."""
     from repro.runtime.job import JobResult
@@ -225,11 +288,7 @@ def _print_phase_profile(profile: dict) -> None:
             print(f"  {name:<{width}s}  {counters[name]}")
 
 
-def _print_result(
-    result,
-    dot_path: Optional[str],
-    audit_context=None,
-) -> int:
+def _print_result(result, dot_path: Optional[str], explorer) -> int:
     print(f"status:     {result.status.value}")
     if result.status is not ExplorationStatus.OPTIMAL:
         if result.stats.phase_profile:
@@ -248,115 +307,32 @@ def _print_result(
     for name in sorted(result.architecture.selected_impls):
         impl = result.architecture.implementation_of(name)
         print(f"  {name:14s} -> {impl.name}")
-    if audit_context is not None:
-        mapping_template, specification = audit_context
-        print(
-            audit_architecture(
-                mapping_template, specification, result.architecture
-            ).render()
-        )
+    audit = audit_architecture(
+        explorer.mapping_template, explorer.specification, result.architecture
+    )
+    print(audit.render())
     if dot_path:
         write_dot(result.architecture.mapping_graph(), dot_path)
         print(f"wrote {dot_path}")
     return 0
 
 
-def _cmd_rpl(args) -> int:
-    mapping_template, specification = rpl.build_problem(
-        args.n_a, args.n_b, deadline=args.deadline
-    )
+def _cmd_explore(args) -> int:
+    spec = _spec_from_args(args.case, args)
     tracer = _make_tracer(args)
     started = time.perf_counter()
     try:
-        result = _make_explorer(
-            mapping_template, specification, args, tracer=tracer
-        ).explore()
+        explorer = spec.make_explorer(tracer=tracer)
+        result = explorer.explore()
     finally:
         _finish_tracer(tracer, args)
     if args.json:
-        spec = _case_spec(
-            "rpl",
-            args,
-            {"n_a": args.n_a, "n_b": args.n_b},
-            {"deadline": args.deadline},
-        )
         return _emit_json(spec, result, time.perf_counter() - started)
-    return _print_result(
-        result, args.dot, audit_context=(mapping_template, specification)
-    )
-
-
-def _cmd_epn(args) -> int:
-    mapping_template, specification = epn.build_problem(
-        args.left,
-        args.right,
-        args.apu,
-        deadline=args.deadline,
-        loss_budget=args.loss_budget,
-    )
-    tracer = _make_tracer(args)
-    started = time.perf_counter()
-    try:
-        result = _make_explorer(
-            mapping_template, specification, args, tracer=tracer
-        ).explore()
-    finally:
-        _finish_tracer(tracer, args)
-    if args.json:
-        spec = _case_spec(
-            "epn",
-            args,
-            {"left": args.left, "right": args.right, "apu": args.apu},
-            {"deadline": args.deadline, "loss_budget": args.loss_budget},
-        )
-        return _emit_json(spec, result, time.perf_counter() - started)
-    return _print_result(
-        result, args.dot, audit_context=(mapping_template, specification)
-    )
-
-
-def _cmd_wsn(args) -> int:
-    mapping_template, specification = wsn.build_problem(
-        args.sensors,
-        args.relays,
-        args.tiers,
-        deadline=args.deadline,
-        min_reliability=args.min_reliability,
-    )
-    tracer = _make_tracer(args)
-    started = time.perf_counter()
-    try:
-        result = _make_explorer(
-            mapping_template, specification, args, tracer=tracer
-        ).explore()
-    finally:
-        _finish_tracer(tracer, args)
-    if args.json:
-        spec = _case_spec(
-            "wsn",
-            args,
-            {
-                "num_sensors": args.sensors,
-                "num_relays": args.relays,
-                "tiers": args.tiers,
-            },
-            {"deadline": args.deadline, "min_reliability": args.min_reliability},
-        )
-        return _emit_json(spec, result, time.perf_counter() - started)
-    return _print_result(
-        result, args.dot, audit_context=(mapping_template, specification)
-    )
+    return _print_result(result, args.dot, explorer)
 
 
 def _cmd_topk(args) -> int:
-    mapping_template, specification = CASE_BUILDERS[args.case](args)
-    result = ContrArcExplorer(
-        mapping_template,
-        specification,
-        backend=args.backend,
-        max_iterations=args.max_iterations,
-        time_limit=args.time_limit,
-    ).explore(k=args.k)
+    result = _spec_from_args(args.case, args).make_explorer().explore(k=args.k)
     if not result.architectures:
         print(f"no valid architecture found ({result.status.value})")
         return 1
@@ -372,7 +348,9 @@ def _cmd_topk(args) -> int:
 def _cmd_diagnose(args) -> int:
     from repro.solver.diagnostics import diagnose_infeasible_exploration
 
-    mapping_template, specification = CASE_BUILDERS[args.case](args)
+    mapping_template, specification = _spec_from_args(
+        args.case, args
+    ).build_problem()
     try:
         print(diagnose_infeasible_exploration(mapping_template, specification))
     except Exception as error:  # feasible design spaces included
@@ -382,29 +360,14 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    from repro.runtime.job import JobResult, JobSpec
+    from repro.runtime.job import JobResult
 
     rows = []
     records = []
     tracer = _make_tracer(args)
     try:
         for name in ("only-iso", "only-decomp", "complete"):
-            engine = {
-                "scenario": name,
-                "backend": args.backend,
-                "max_iterations": args.max_iterations,
-                "time_limit": args.time_limit,
-            }
-            if getattr(args, "no_incremental", False):
-                # A non-default lever that may legitimately change the
-                # cut trajectory (solver-state tie-breaking), so it is
-                # part of the spec — mirroring the case-study commands.
-                engine["incremental"] = False
-            spec = JobSpec(
-                "epn",
-                sizes={"left": args.left, "right": args.right, "apu": args.apu},
-                engine=engine,
-            )
+            spec = _spec_from_args("epn", args, scenario=name)
             started = time.perf_counter()
             result = spec.make_explorer(tracer=tracer).explore()
             records.append(
@@ -538,29 +501,9 @@ def _submit_spec(args) -> "JobSpec":
         return JobSpec.from_dict(data)
     if not args.case:
         raise SystemExit("error: submit needs a CASE (rpl/epn/wsn) or --spec")
-    # Mirror the one-shot commands exactly — same sizes/problem/engine
-    # dicts — so a submitted job gets the same content-addressed id (and
-    # canonical record) as `repro <case> --json` run locally.
-    if args.case == "rpl":
-        deadline = args.deadline if args.deadline is not None else rpl.DEFAULT_DEADLINE
-        sizes = {"n_a": args.n_a, "n_b": args.n_b}
-        problem = {"deadline": deadline}
-    elif args.case == "epn":
-        deadline = args.deadline if args.deadline is not None else epn.DEFAULT_DEADLINE
-        sizes = {"left": args.left, "right": args.right, "apu": args.apu}
-        problem = {"deadline": deadline, "loss_budget": args.loss_budget}
-    else:
-        deadline = args.deadline if args.deadline is not None else wsn.DEFAULT_DEADLINE
-        sizes = {
-            "num_sensors": args.sensors,
-            "num_relays": args.relays,
-            "tiers": args.tiers,
-        }
-        problem = {
-            "deadline": deadline,
-            "min_reliability": args.min_reliability,
-        }
-    return _case_spec(args.case, args, sizes, problem)
+    # The one-shot commands' spec, so a submitted job gets the same
+    # content-addressed id (and canonical record) as `repro CASE --json`.
+    return _spec_from_args(args.case, args)
 
 
 def _cmd_submit(args) -> int:
@@ -659,65 +602,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    rpl_cmd = commands.add_parser("rpl", help="explore a production line")
-    rpl_cmd.add_argument("--n-a", type=int, default=2)
-    rpl_cmd.add_argument("--n-b", type=int, default=0)
-    rpl_cmd.add_argument("--deadline", type=float, default=rpl.DEFAULT_DEADLINE)
-    _add_engine_flags(rpl_cmd)
-    rpl_cmd.set_defaults(func=_cmd_rpl)
-
-    epn_cmd = commands.add_parser("epn", help="explore a power network")
-    epn_cmd.add_argument("--left", type=int, default=1)
-    epn_cmd.add_argument("--right", type=int, default=1)
-    epn_cmd.add_argument("--apu", type=int, default=0)
-    epn_cmd.add_argument("--deadline", type=float, default=epn.DEFAULT_DEADLINE)
-    epn_cmd.add_argument(
-        "--loss-budget", type=float, default=epn.DEFAULT_LOSS_BUDGET
-    )
-    _add_engine_flags(epn_cmd)
-    epn_cmd.set_defaults(func=_cmd_epn)
-
-    wsn_cmd = commands.add_parser("wsn", help="explore a sensor network")
-    wsn_cmd.add_argument("--sensors", type=int, default=2)
-    wsn_cmd.add_argument("--relays", type=int, default=2)
-    wsn_cmd.add_argument("--tiers", type=int, default=2)
-    wsn_cmd.add_argument("--deadline", type=float, default=wsn.DEFAULT_DEADLINE)
-    wsn_cmd.add_argument(
-        "--min-reliability", type=float, default=wsn.DEFAULT_MIN_RELIABILITY
-    )
-    _add_engine_flags(wsn_cmd)
-    wsn_cmd.set_defaults(func=_cmd_wsn)
+    for case, summary in (
+        ("rpl", "explore a production line"),
+        ("epn", "explore a power network"),
+        ("wsn", "explore a sensor network"),
+    ):
+        explore_cmd = commands.add_parser(case, help=summary)
+        _add_case_flags(explore_cmd, case)
+        _add_lever_flags(explore_cmd)
+        _add_limit_flags(explore_cmd)
+        explore_cmd.add_argument(
+            "--profile",
+            action="store_true",
+            help="collect and print a per-phase wall-clock breakdown",
+        )
+        _add_incremental_flags(explore_cmd)
+        explore_cmd.add_argument(
+            "--no-multicut",
+            action="store_true",
+            help="generate certificates only for the first violation per "
+            "iteration",
+        )
+        explore_cmd.add_argument(
+            "--dot",
+            metavar="FILE",
+            help="write the selected architecture as DOT",
+        )
+        explore_cmd.add_argument(
+            "--json",
+            action="store_true",
+            help="print the machine-readable result record instead of the "
+            "summary",
+        )
+        _add_trace_flags(explore_cmd)
+        explore_cmd.set_defaults(func=_cmd_explore, case=case)
 
     t2_cmd = commands.add_parser(
         "table2", help="compare the three certificate scenarios on one EPN"
     )
-    t2_cmd.add_argument("--left", type=int, default=1)
-    t2_cmd.add_argument("--right", type=int, default=1)
-    t2_cmd.add_argument("--apu", type=int, default=0)
-    t2_cmd.add_argument("--backend", default="scipy", choices=["scipy", "native"])
-    t2_cmd.add_argument("--max-iterations", type=int, default=5000)
-    t2_cmd.add_argument("--time-limit", type=float, default=300.0)
-    t2_cmd.add_argument(
-        "--incremental",
-        dest="no_incremental",
-        action="store_false",
-        default=False,
-        help="enable incremental re-use across iterations (the default)",
-    )
-    t2_cmd.add_argument(
-        "--no-incremental",
-        dest="no_incremental",
-        action="store_true",
-        default=False,
-        help="disable the solver session and verification carrying",
-    )
+    _add_case_flags(t2_cmd, "epn", problem=False)
+    _add_limit_flags(t2_cmd)
+    _add_incremental_flags(t2_cmd)
     t2_cmd.add_argument(
         "--json",
         action="store_true",
         help="print the machine-readable per-scenario records",
     )
     _add_trace_flags(t2_cmd)
-    t2_cmd.set_defaults(func=_cmd_table2)
+    t2_cmd.set_defaults(
+        func=_cmd_table2, max_iterations=5000, time_limit=300.0
+    )
 
     sweep_cmd = commands.add_parser(
         "sweep", help="run a job grid in parallel with a memoized oracle"
@@ -773,14 +707,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--limit", type=int, default=None, help="run only the first N jobs"
     )
-    sweep_cmd.add_argument("--backend", default="scipy", choices=["scipy", "native"])
-    sweep_cmd.add_argument("--max-iterations", type=int, default=5000)
-    sweep_cmd.add_argument("--time-limit", type=float, default=120.0)
+    _add_limit_flags(sweep_cmd)
     sweep_cmd.add_argument(
         "--json", action="store_true", help="print the aggregated records as JSON"
     )
     _add_trace_flags(sweep_cmd)
-    sweep_cmd.set_defaults(func=_cmd_sweep)
+    sweep_cmd.set_defaults(
+        func=_cmd_sweep, max_iterations=5000, time_limit=120.0
+    )
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -840,18 +774,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit_cmd = commands.add_parser(
         "submit",
         help="submit a job to a running `repro serve` instance",
-        description="Build a JobSpec from the same flags as the one-shot "
-        "commands (or read one from --spec) and POST it to the server. "
+        description="Build a JobSpec from a case's size and problem flags "
+        "and the engine flags --backend, --no-isomorphism, "
+        "--no-decomposition, --max-iterations and --time-limit (or read "
+        "any JobSpec from --spec) and POST it to the server. "
         "--wait/--stream block until the job is terminal; with --json "
         "the printed record is byte-identical to `repro CASE --json`.",
-    )
-    submit_cmd.add_argument(
-        "case", nargs="?", choices=["rpl", "epn", "wsn"], default=None
-    )
-    submit_cmd.add_argument(
-        "--server",
-        default="http://127.0.0.1:8765",
-        help="base URL of the job server",
     )
     submit_cmd.add_argument(
         "--spec",
@@ -860,60 +788,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit this JobSpec JSON file instead of case flags "
         "('-' reads stdin)",
     )
-    submit_cmd.add_argument("--namespace", default="default")
-    submit_cmd.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="higher runs first (FIFO within a priority)",
-    )
-    submit_cmd.add_argument(
-        "--wait", action="store_true", help="poll until the job is terminal"
-    )
-    submit_cmd.add_argument(
-        "--stream",
-        action="store_true",
-        help="follow the job's telemetry over SSE until it is terminal",
-    )
-    submit_cmd.add_argument(
-        "--poll-timeout",
-        type=float,
-        default=600.0,
-        help="give up waiting after this many seconds",
-    )
-    # Case/size flags mirroring rpl/epn/wsn one-shot commands.
-    submit_cmd.add_argument("--n-a", type=int, default=2)
-    submit_cmd.add_argument("--n-b", type=int, default=0)
-    submit_cmd.add_argument("--left", type=int, default=1)
-    submit_cmd.add_argument("--right", type=int, default=1)
-    submit_cmd.add_argument("--apu", type=int, default=0)
-    submit_cmd.add_argument("--sensors", type=int, default=2)
-    submit_cmd.add_argument("--relays", type=int, default=2)
-    submit_cmd.add_argument("--tiers", type=int, default=2)
-    submit_cmd.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="case deadline (default: the case's standard deadline)",
-    )
-    submit_cmd.add_argument(
-        "--loss-budget", type=float, default=epn.DEFAULT_LOSS_BUDGET
-    )
-    submit_cmd.add_argument(
-        "--min-reliability", type=float, default=wsn.DEFAULT_MIN_RELIABILITY
-    )
-    submit_cmd.add_argument(
-        "--backend", default="scipy", choices=["scipy", "native"]
-    )
-    submit_cmd.add_argument("--no-isomorphism", action="store_true")
-    submit_cmd.add_argument("--no-decomposition", action="store_true")
-    submit_cmd.add_argument("--max-iterations", type=int, default=2000)
-    submit_cmd.add_argument("--time-limit", type=float, default=None)
-    submit_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="print the terminal JobResult record (with --wait/--stream)",
-    )
+    _add_submit_flags(submit_cmd)
+    submit_cases = submit_cmd.add_subparsers(dest="case", metavar="CASE")
+    for case in CASE_FLAGS:
+        case_cmd = submit_cases.add_parser(case, help=f"submit one {case} job")
+        _add_case_flags(case_cmd, case)
+        _add_lever_flags(case_cmd)
+        _add_limit_flags(case_cmd)
+        _add_submit_flags(case_cmd, suppress=True)
     submit_cmd.set_defaults(func=_cmd_submit)
 
     obs_cmd = commands.add_parser(
@@ -967,32 +849,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_cmd.set_defaults(func=_cmd_obs)
 
-    def _add_case_flags(sub):
-        sub.add_argument("case", choices=sorted(CASE_BUILDERS))
-        sub.add_argument("--n-a", type=int, default=1)
-        sub.add_argument("--n-b", type=int, default=0)
-        sub.add_argument("--left", type=int, default=1)
-        sub.add_argument("--right", type=int, default=0)
-        sub.add_argument("--apu", type=int, default=0)
-        sub.add_argument("--sensors", type=int, default=2)
-        sub.add_argument("--relays", type=int, default=2)
-        sub.add_argument("--tiers", type=int, default=1)
-        sub.add_argument("--demand", type=float, default=2.0)
-
     topk_cmd = commands.add_parser(
         "topk", help="enumerate the K cheapest valid architectures"
     )
-    _add_case_flags(topk_cmd)
-    topk_cmd.add_argument("-k", type=int, default=3)
-    topk_cmd.add_argument("--backend", default="scipy", choices=["scipy", "native"])
-    topk_cmd.add_argument("--max-iterations", type=int, default=5000)
-    topk_cmd.add_argument("--time-limit", type=float, default=None)
-    topk_cmd.set_defaults(func=_cmd_topk)
-
     diag_cmd = commands.add_parser(
         "diagnose", help="explain why a design space admits no candidate"
     )
-    _add_case_flags(diag_cmd)
+    for sub in (topk_cmd, diag_cmd):
+        sub.add_argument("case", choices=sorted(CASE_FLAGS))
+        for case in CASE_FLAGS:
+            _add_case_flags(sub, case, problem=False)
+        sub.add_argument(
+            "--demand",
+            type=float,
+            default=None,
+            help="scale the case's load (default: the case's own)",
+        )
+        # Smaller default instances than the one-shot commands'.
+        sub.set_defaults(n_a=1, right=0, tiers=1)
+    topk_cmd.add_argument("-k", type=int, default=3)
+    _add_limit_flags(topk_cmd)
+    topk_cmd.set_defaults(func=_cmd_topk, max_iterations=5000)
     diag_cmd.set_defaults(func=_cmd_diagnose)
     return parser
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.job import JobResult, JobSpec, SCENARIOS
-from repro.runtime.ledger import completed_records, plan_resume
+from repro.runtime.ledger import completed_records, load_ledger, plan_resume
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.telemetry import iter_events
 from repro.reporting.tables import format_seconds, render_table
@@ -122,35 +122,25 @@ class SweepReport:
     def from_journal(cls, path: str, strict: bool = False) -> "SweepReport":
         """Rebuild a report from a journal's last-record-wins ledger view.
 
-        Aggregates over the same view as
-        :func:`repro.runtime.ledger.load_ledger` — one record per job
-        id, the last ``job_end`` winning — never over raw events: a
-        journal holding both a crashed attempt and its retried (or
-        resume-replayed) terminal record for one job counts that job
-        once. Wall clock spans the journal's first to last timestamp.
+        Aggregates over :func:`repro.runtime.ledger.load_ledger` — one
+        record per job id, the last ``job_end`` winning — never over
+        raw events: a journal holding both a crashed attempt and its
+        retried (or resume-replayed) terminal record for one job counts
+        that job once. Wall clock spans the journal's first to last
+        timestamp.
         The ``repro serve`` namespace report endpoint is built on this.
         """
-        ledger: Dict[str, Dict[str, Any]] = {}
-        first_ts: Optional[float] = None
-        last_ts: Optional[float] = None
-        for event in iter_events(path, strict=strict):
-            ts = event.get("ts")
-            if ts is not None:
-                first_ts = ts if first_ts is None else first_ts
-                last_ts = ts
-            if event.get("event") != "job_end":
-                continue
-            job_id = event.get("job_id")
-            if job_id and event.get("spec"):
-                ledger[job_id] = {
-                    key: value
-                    for key, value in event.items()
-                    if key not in ("event", "ts")
-                }
-        results = [JobResult.from_dict(record) for record in ledger.values()]
-        wall_clock = (
-            last_ts - first_ts if first_ts is not None and last_ts else 0.0
-        )
+        stamps = [
+            event["ts"]
+            for event in iter_events(path, strict=strict)
+            if event.get("ts") is not None
+        ]
+        results = [
+            JobResult.from_dict(record)
+            for record in load_ledger(path, strict=strict).values()
+            if record.get("spec")
+        ]
+        wall_clock = stamps[-1] - stamps[0] if stamps else 0.0
         return cls(results, wall_clock)
 
     def _latest_by_job(self) -> List[JobResult]:

@@ -154,6 +154,112 @@ class TestJsonOutput:
         assert scenarios == {"only-iso", "only-decomp", "complete"}
 
 
+#: ``job_id``s of these command lines, pinned when every exploration
+#: command moved onto one JobSpec path; they must never drift.
+PINNED_JOB_IDS = [
+    (["rpl", "--n-a", "1"], "0805bf4021423fd5"),
+    (["rpl", "--n-a", "1", "--no-incremental"], "2d13fcda8b5cd79d"),
+    (["epn", "--left", "1", "--right", "0"], "0d62c3f5b3fb0792"),
+    (
+        ["epn", "--left", "1", "--right", "0", "--no-multicut", "--profile"],
+        "330d751b3c1db12a",
+    ),
+    (["wsn", "--tiers", "1"], "fdc0940d712683b9"),
+    (
+        ["table2", "--left", "1", "--right", "0", "--apu", "0"],
+        ["8599f1d19676cd05", "d510d64d20043127", "a55d6789ddb4526b"],
+    ),
+]
+
+
+class TestJobSpecPath:
+    @pytest.mark.parametrize(
+        "argv, job_id",
+        PINNED_JOB_IDS,
+        ids=[" ".join(argv) for argv, _ in PINNED_JOB_IDS],
+    )
+    def test_job_ids_are_pinned(self, capsys, argv, job_id):
+        import json
+
+        main(argv + ["--json"])
+        record = json.loads(capsys.readouterr().out)
+        if isinstance(record, list):
+            assert [r["job_id"] for r in record] == job_id
+        else:
+            assert record["job_id"] == job_id
+
+    @pytest.mark.parametrize(
+        "case, flags",
+        [
+            ("rpl", ["--n-a", "1", "--deadline", "100"]),
+            ("epn", ["--right", "0", "--deadline", "40"]),
+            ("wsn", ["--sensors", "1", "--relays", "1", "--tiers", "1",
+                     "--deadline", "90"]),
+        ],
+    )
+    def test_submit_posts_the_one_shot_spec(
+        self, capsys, monkeypatch, case, flags
+    ):
+        import json
+
+        from repro.serve.client import ServeClient
+
+        posted = []
+
+        def fake_submit(self, spec, namespace="default", priority=0):
+            posted.append(spec)
+            return {"job_id": spec.job_id, "state": "queued"}
+
+        monkeypatch.setattr(ServeClient, "submit", fake_submit)
+        argv = [case, *flags, "--no-isomorphism", "--max-iterations", "500"]
+        assert main(["submit", *argv]) == 0
+        capsys.readouterr()
+        main(argv + ["--json"])
+        record = json.loads(capsys.readouterr().out)
+        assert [spec.job_id for spec in posted] == [record["job_id"]]
+        assert posted[0].to_dict() == record["spec"]
+
+    def test_submit_rejects_another_cases_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "rpl", "--left", "3"])
+        assert exit_info.value.code == 2
+        assert "--left" in capsys.readouterr().err
+
+    def test_submit_flags_before_the_case_are_kept(self):
+        args = build_parser().parse_args(
+            ["submit", "--wait", "--server", "http://h:1", "rpl", "--json"]
+        )
+        assert args.wait and args.json
+        assert args.server == "http://h:1"
+
+    def test_topk_rpl_default_demand_is_the_one_shot_problem(self, capsys):
+        import inspect
+        import json
+
+        from repro.casestudies import rpl
+        from repro.cli import _spec_from_args
+
+        def problem_args(argv):
+            spec = _spec_from_args("rpl", build_parser().parse_args(argv))
+            bound = inspect.signature(rpl.build_problem).bind(
+                **spec.sizes, **spec.problem
+            )
+            bound.apply_defaults()
+            return bound.arguments
+
+        assert problem_args(["topk", "rpl"]) == problem_args(
+            ["rpl", "--n-a", "1"]
+        )
+        # The cheapest of rpl(1,0)'s tied cost-26 designs is the one the
+        # one-shot command selects.
+        assert main(["topk", "rpl", "-k", "1"]) == 0
+        top = capsys.readouterr().out
+        main(["rpl", "--n-a", "1", "--json"])
+        selected = json.loads(capsys.readouterr().out)["selected"]
+        picks = ", ".join(f"{k}={v}" for k, v in sorted(selected.items()))
+        assert top.strip() == f"#1: cost 26 [{picks}]"
+
+
 class TestSweep:
     def test_serial_sweep_table(self, capsys):
         code = main(
