@@ -6,26 +6,32 @@ last candidate violated, or, once a candidate violates a pooled cut,
 the whole lazy cut pool at once (:mod:`repro.explore.cut_pool`). Either
 way rows are only appended, never removed.
 A stateless backend pays the full model-construction cost every time:
-scipy's ``milp()`` rebuilds the HiGHS instance from dense matrices, and
-the native branch-and-bound restarts its search from nothing.
+:func:`repro.solver.scipy_backend.solve_matrix` converts the whole
+dense matrix form into a fresh HiGHS instance, and the native
+branch-and-bound restarts its search from nothing.
 
 :class:`IncrementalSession` keeps per-model solver state alive across
 those solves:
 
 * **scipy backend** — one vendored HiGHS instance
   (``scipy.optimize._highspy``) receives the model once via
-  ``passModel`` and afterwards only ``addCol``/``addRow`` calls for the
-  appended cut variables/rows (built sparsely, straight from the
-  constraint coefficient maps — the dense matrix form is never
-  materialized again). Along an append-only chain the optimum is
-  monotone non-decreasing (rows only shrink the feasible set and
-  appended columns carry zero objective), so the previous optimal value
-  is replayed as HiGHS's ``objective_target``: branch-and-cut stops at
-  the first incumbent matching the plateau value instead of re-proving
-  the dual bound. Any non-append mutation falls back to a full
-  ``passModel`` rebuild (which also clears the target), and if the
-  vendored module is missing the session degrades to per-call
-  ``scipy.optimize.milp``.
+  ``passModel`` (built by :func:`repro.solver.scipy_backend.highs_lp`,
+  the backend's one form-to-HiGHS builder) and afterwards only
+  ``addCol``/``addRow`` calls for the appended cut variables/rows (built
+  sparsely, straight from the constraint coefficient maps — the dense
+  matrix form is never materialized again). Along an append-only chain
+  the optimum is monotone non-decreasing (rows only shrink the feasible
+  set and appended columns carry zero objective), so the previous
+  optimal value is replayed as HiGHS's ``objective_target``:
+  branch-and-cut stops at the first incumbent matching the plateau value
+  instead of re-proving the dual bound. Any non-append mutation falls
+  back to a full ``passModel`` rebuild (which also clears the target),
+  and if the vendored module is missing the session degrades to per-call
+  ``scipy.optimize.milp``. The session keeps HiGHS's default options:
+  the stateless backend switches the feasibility-jump heuristic off, but
+  only for zero-objective feasibility queries. Switching it off for the
+  candidate MILP changes which tied optimum HiGHS returns; RPL(3,3) then
+  takes 19 iterations and 7,776 cuts instead of 18 and 7,290.
 * **native backend** — a :class:`repro.solver.branch_bound.WarmStart`
   carries the incumbent pool, pseudo-costs and root LP basis between
   iterations. (The native simplex is a dense-tableau solver, so this
@@ -40,7 +46,7 @@ caching is blind to session reuse.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,11 +55,6 @@ from repro.obs.trace import Tracer
 from repro.solver import branch_bound, scipy_backend
 from repro.solver.model import ConstraintSense, Model
 from repro.solver.result import SolveResult, SolveStatus
-
-try:  # scipy >= 1.15 vendors the full highspy binding
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - older scipy layouts
-    _highs_core = None
 
 
 class IncrementalSession:
@@ -87,7 +88,9 @@ class IncrementalSession:
         self.rebuilds = 0
         if backend == "scipy":
             self._impl: Optional[_BackendSession] = (
-                _HighsSession(time_limit) if _highs_core is not None else None
+                _HighsSession(time_limit)
+                if scipy_backend._highs_core is not None
+                else None
             )
         elif backend == "native":
             self._impl = _NativeSession()
@@ -202,7 +205,7 @@ class _HighsSession(_BackendSession):
     _TARGET_TOL = 1e-6
 
     def __init__(self, time_limit: Optional[float] = None) -> None:
-        h = _highs_core._Highs()
+        h = scipy_backend._highs_core._Highs()
         h.setOptionValue("output_flag", False)
         if time_limit is not None:
             h.setOptionValue("time_limit", float(time_limit))
@@ -241,42 +244,9 @@ class _HighsSession(_BackendSession):
         self._num_cons = model.num_constraints
 
     def _pass_full(self, model: Model) -> None:
-        core = _highs_core
+        core = scipy_backend._highs_core
         form = model.to_matrix_form()
-        n = form.num_variables
-        a = np.vstack([form.a_ub, form.a_eq]) if n else np.zeros((0, 0))
-        m = a.shape[0]
-        lp = core.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.col_cost_ = np.asarray(form.objective, dtype=float)
-        lp.col_lower_ = np.asarray(form.lower, dtype=float)
-        lp.col_upper_ = np.asarray(form.upper, dtype=float)
-        lp.row_lower_ = np.concatenate(
-            [np.full(form.a_ub.shape[0], -core.kHighsInf), form.b_eq]
-        )
-        lp.row_upper_ = np.concatenate([form.b_ub, form.b_eq])
-        lp.integrality_ = [
-            core.HighsVarType.kInteger if flag else core.HighsVarType.kContinuous
-            for flag in form.integrality
-        ]
-        matrix = core.HighsSparseMatrix()
-        matrix.format_ = core.MatrixFormat.kRowwise
-        matrix.num_col_ = n
-        matrix.num_row_ = m
-        starts = [0]
-        indices: List[int] = []
-        values: List[float] = []
-        for row in a:
-            nz = np.nonzero(row)[0]
-            indices.extend(int(j) for j in nz)
-            values.extend(float(v) for v in row[nz])
-            starts.append(len(indices))
-        matrix.start_ = np.asarray(starts, dtype=np.int32)
-        matrix.index_ = np.asarray(indices, dtype=np.int32)
-        matrix.value_ = np.asarray(values, dtype=float)
-        lp.a_matrix_ = matrix
-        self._h.passModel(lp)
+        self._h.passModel(scipy_backend.highs_lp(form))
         self._cost = np.asarray(form.objective, dtype=float).copy()
         self._objective_constant = form.objective_constant
         # Monotonicity only holds along an append chain; a rebuild may
@@ -291,7 +261,7 @@ class _HighsSession(_BackendSession):
         every new column has cost zero; its constraint coefficients
         arrive with the new rows below.
         """
-        core = _highs_core
+        core = scipy_backend._highs_core
         h = self._h
         added_vars = model.variables[self._num_vars:]
         if added_vars:
@@ -336,7 +306,7 @@ class _HighsSession(_BackendSession):
         return self._extract(model)
 
     def _extract(self, model: Model) -> SolveResult:
-        core = _highs_core
+        core = scipy_backend._highs_core
         status = self._h.getModelStatus()
         ms = core.HighsModelStatus
         if status in (ms.kOptimal, ms.kObjectiveTarget):

@@ -1,10 +1,14 @@
 """Tests for the SAT/UNSAT oracle across backends."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
 from repro.expr.constraints import BoolAtom, Implies, Or
 from repro.expr.terms import binary, continuous, integer
+from repro.runtime.job import JobSpec
+from repro.runtime.keys import formula_key
+from repro.solver import feasibility, scipy_backend
 from repro.solver.feasibility import (
     BACKENDS,
     SatResult,
@@ -71,3 +75,82 @@ class TestPlumbing:
         result = check_sat((x >= 9) | (y >= 9))
         for var in result.assignment:
             assert var in {x, y}
+
+
+
+def _recording_highs(base, loads):
+    """A HiGHS class whose instances log, per loaded model, whether it
+    has an objective and which options were set on it."""
+
+    class RecordingHighs(base):
+        def __init__(self):
+            super().__init__()
+            self.options = {}
+
+        def setOptionValue(self, name, value):
+            self.options[name] = value
+            return super().setOptionValue(name, value)
+
+        def passModel(self, lp):
+            loads.append((bool(np.any(lp.col_cost_)), self.options))
+            return super().passModel(lp)
+
+    return RecordingHighs
+
+
+class TestRecordedRefinementQueries:
+    """Every query two small explorations send to the oracle, replayed
+    on the native branch-and-bound: an independent route to each
+    HiGHS verdict."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        queries = {}
+        loads = []
+        real = feasibility.check_sat
+
+        def record(formula, *args, **kwargs):
+            queries.setdefault(formula_key(formula), formula)
+            return real(formula, *args, **kwargs)
+
+        specs = [
+            JobSpec(
+                "epn",
+                sizes={"left": 1, "right": 1, "apu": 0},
+                engine={"use_isomorphism": False},
+            ),
+            # Stateless: the candidate MILPs go through solve_matrix too.
+            JobSpec(
+                "rpl",
+                sizes={"n_a": 1, "n_b": 1},
+                engine={"scenario": "complete", "incremental": False},
+            ),
+        ]
+        core = scipy_backend._highs_core
+        with pytest.MonkeyPatch.context() as mp:
+            # The explorer's oracle misses re-enter check_sat through
+            # this module global, so each recorded call is one solve.
+            mp.setattr(feasibility, "check_sat", record)
+            if core is not None:
+                mp.setattr(core, "_Highs", _recording_highs(core._Highs, loads))
+            for spec in specs:
+                assert spec.make_explorer().explore().is_optimal
+        return list(queries.values()), loads
+
+    def test_scipy_and_native_verdicts_agree(self, recorded):
+        queries, _ = recorded
+        assert len(queries) > 50
+        for formula in queries:
+            scipy_sat = bool(check_sat(formula, backend="scipy"))
+            native_sat = bool(check_sat(formula, backend="native"))
+            assert scipy_sat == native_sat, formula
+
+    @pytest.mark.skipif(
+        scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
+    )
+    def test_feasibility_jump_off_only_for_zero_objective(self, recorded):
+        _, loads = recorded
+        assert {has_objective for has_objective, _ in loads} == {True, False}
+        for has_objective, options in loads:
+            jump_off = options.get("mip_heuristic_run_feasibility_jump") is False
+            assert jump_off is not has_objective, options

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.expr.constraints import BoolAtom, Implies
 from repro.expr.terms import binary, continuous, integer
 from repro.solver import scipy_backend
+from repro.solver.feasibility import check_sat
 from repro.solver.model import Model
 from repro.solver.result import SolveStatus
+from repro.solver.session import IncrementalSession
 
 
 class TestStatusMapping:
@@ -78,3 +81,92 @@ class TestEmptyModels:
         m.set_objective(x.to_expr())
         result = scipy_backend.solve(m, time_limit=10.0)
         assert result.status is SolveStatus.OPTIMAL
+
+
+def _small_milp() -> Model:
+    x = integer("fx", 0, 10)
+    y = continuous("fy", 0, 10)
+    m = Model()
+    m.add_ge(x + y, 3.5)
+    m.add_le(x - y, 2)
+    m.set_objective(2 * x + y)
+    return m
+
+
+def _feasibility_query() -> Model:
+    b = binary("fb")
+    y = continuous("fz", 0, 10)
+    m = Model()
+    m.add_ge(y + 5 * b, 6)
+    m.add_le(y, 4)
+    return m
+
+
+@pytest.mark.skipif(
+    scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
+)
+class TestHighsLp:
+    def test_rows_match_dense_form(self):
+        m = _small_milp()
+        x, y = m.variables
+        m.add_eq(3 * y, 6)
+        m.add_le(0 * x + y, 9)
+        form = m.to_matrix_form()
+        lp = scipy_backend.highs_lp(form)
+        matrix = lp.a_matrix_
+        rebuilt = np.zeros((lp.num_row_, lp.num_col_))
+        for i in range(lp.num_row_):
+            for k in range(matrix.start_[i], matrix.start_[i + 1]):
+                rebuilt[i, matrix.index_[k]] = matrix.value_[k]
+        assert np.array_equal(rebuilt, np.vstack([form.a_ub, form.a_eq]))
+        assert len(matrix.value_) == np.count_nonzero(rebuilt)
+        n_ub = form.a_ub.shape[0]
+        assert np.all(np.isneginf(lp.row_lower_[:n_ub]))
+        assert list(lp.row_upper_[:n_ub]) == list(form.b_ub)
+        assert list(lp.row_lower_[n_ub:]) == list(lp.row_upper_[n_ub:]) == [6.0]
+
+
+@pytest.mark.skipif(
+    scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
+)
+class TestMilpFallback:
+    """Without scipy's vendored HiGHS binding (scipy < 1.15) every entry
+    point falls back to ``scipy.optimize.milp`` and must answer alike."""
+
+    @staticmethod
+    def _outcome(result):
+        return result.status, result.objective
+
+    @pytest.mark.parametrize("build", [_small_milp, _feasibility_query])
+    def test_solve_matrix(self, build, monkeypatch):
+        calls = []
+        milp = scipy_backend.milp
+        monkeypatch.setattr(
+            scipy_backend, "milp", lambda *a, **k: calls.append(1) or milp(*a, **k)
+        )
+        direct = scipy_backend.solve_matrix(build().to_matrix_form())
+        assert not calls
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        fallback = scipy_backend.solve_matrix(build().to_matrix_form())
+        assert calls
+        assert direct.status is SolveStatus.OPTIMAL
+        assert self._outcome(fallback) == pytest.approx(self._outcome(direct))
+
+    @pytest.mark.parametrize("build", [_small_milp, _feasibility_query])
+    def test_session(self, build, monkeypatch):
+        direct = IncrementalSession(build()).solve()
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        session = IncrementalSession(build())
+        assert session._impl is None
+        assert self._outcome(session.solve()) == pytest.approx(
+            self._outcome(direct)
+        )
+
+    def test_check_sat(self, monkeypatch):
+        x = continuous("fs", 0, 10)
+        b = binary("fsb")
+        sat = Implies(BoolAtom(b), x >= 8) & BoolAtom(b)
+        unsat = sat & (x <= 7)
+        direct = [bool(check_sat(f)) for f in (sat, unsat)]
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        assert [bool(check_sat(f)) for f in (sat, unsat)] == direct == [True, False]
