@@ -41,6 +41,7 @@ extends in place either way.
 from __future__ import annotations
 
 import enum
+import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
 
@@ -211,7 +212,8 @@ class ContrArcExplorer:
         if max_iterations < 1:
             raise ExplorationError("max_iterations must be at least 1")
         #: Wall-clock budget in seconds; exploration stops with
-        #: TIME_LIMIT when exceeded (checked between iterations).
+        #: TIME_LIMIT when exceeded. It is checked between iterations,
+        #: and a native incremental solve stops at the run's deadline.
         self.time_limit = time_limit
         self.mapping_template = mapping_template
         self.specification = specification
@@ -282,11 +284,18 @@ class ContrArcExplorer:
             incremental=self.incremental,
             multicut=self.multicut,
         ) as run:
+            # The budget's end for the solver, which stops a native
+            # search once it passes.
+            deadline = (
+                None
+                if self.time_limit is None
+                else time.monotonic() + self.time_limit
+            )
             # The contract encoding never changes across iterations; build
             # it once and keep appending certificate constraints to it.
             model = build_candidate_milp(self.mapping_template, self.specification)
             cut_encoder = FormulaEncoder(model, prefix="cut")
-            solve = self._candidate_solver(model, tracer)
+            solve = self._candidate_solver(model, tracer, deadline)
             for index in range(1, self.max_iterations + 1):
                 if (
                     self.time_limit is not None
@@ -326,6 +335,13 @@ class ContrArcExplorer:
                     if solve_result.status is SolveStatus.INFEASIBLE:
                         stats.record(record)
                         status = ExplorationStatus.INFEASIBLE
+                        break
+                    if (
+                        solve_result.status is SolveStatus.ITERATION_LIMIT
+                        and deadline is not None
+                        and time.monotonic() >= deadline
+                    ):
+                        status = ExplorationStatus.TIME_LIMIT
                         break
                     if solve_result.status is not SolveStatus.OPTIMAL:
                         raise ExplorationError(
@@ -444,17 +460,20 @@ class ContrArcExplorer:
         return ExplorationResult(status, architectures, stats, cuts, last_violation)
 
     def _candidate_solver(
-        self, model: Model, tracer: Tracer
+        self, model: Model, tracer: Tracer, deadline: Optional[float]
     ) -> Callable[[Model], SolveResult]:
         """Problem 2's solve function, memoized by the oracle if any.
 
         An incremental session times its own ``matrix_build`` /
         ``milp_solve`` split; a stateless backend's whole call, oracle
-        lookup included, is one ``milp_solve`` phase.
+        lookup included, is one ``milp_solve`` phase. ``deadline`` (a
+        :func:`time.monotonic` instant) goes to the session.
         """
         incremental = self.incremental and self.backend in ("scipy", "native")
         if incremental:
-            session = IncrementalSession(model, backend=self.backend)
+            session = IncrementalSession(
+                model, backend=self.backend, deadline=deadline
+            )
             session.tracer = tracer
             solve = session.as_solver()
         else:

@@ -15,12 +15,27 @@ processes, hashes to the same key. Coefficient maps are sorted by
 variable name, and floats are rendered through :func:`repr` (shortest
 round-trip form), which is stable across CPython processes and
 platforms.
+
+The exploration loop keys its candidate MILP once per iteration, and
+between two calls the model only grows by a few cut rows. So
+:func:`model_key` keeps the canonical text of each model it has keyed in
+a memo held weakly on the :class:`~repro.solver.model.Model` (it dies
+with the model, and :meth:`~repro.solver.model.Model.copy` starts
+without one): every constraint's text by index, every variable's text,
+and the name-sorted variable text. When
+:meth:`~repro.solver.model.Model.appended_since` says only appends
+happened since the memo's snapshot, only the new rows are rendered (and
+the variable text is re-sorted only if a variable was added); any other
+mutation, such as ``set_objective``, renders the model afresh. Either
+way the same text is hashed in the same order, so a key never depends
+on the memo and on-disk oracles written before it stay warm.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+import weakref
+from typing import Callable, Dict, List, Optional
 
 from repro.contracts.contract import Contract
 from repro.expr.constraints import (
@@ -35,7 +50,7 @@ from repro.expr.constraints import (
     Or,
 )
 from repro.expr.terms import LinExpr, Var
-from repro.solver.model import ConstraintSense, LinearConstraint, Model
+from repro.solver.model import Model, Snapshot
 
 
 def _num(value: float) -> str:
@@ -52,10 +67,16 @@ def canonical_var(var: Var) -> str:
     return f"{var.name}:{var.domain.value}:[{_num(var.lb)},{_num(var.ub)}]"
 
 
-def canonical_expr(expr: LinExpr) -> str:
-    """Canonical text for an affine expression (terms sorted by name)."""
+def canonical_expr(
+    expr: LinExpr, var_text: Callable[[Var], str] = canonical_var
+) -> str:
+    """Canonical text for an affine expression (terms sorted by name).
+
+    ``var_text`` renders one variable; :func:`model_key` passes its
+    memo's lookup so a row re-renders none of its variables.
+    """
     terms = ",".join(
-        f"{_num(coef)}*{canonical_var(var)}"
+        f"{_num(coef)}*{var_text(var)}"
         for var, coef in sorted(expr.coeffs.items(), key=lambda kv: kv[0].name)
     )
     return f"({terms}+{_num(expr.constant)})"
@@ -141,11 +162,46 @@ def contract_pair_key(
     )
 
 
-def _canonical_constraint(constraint: LinearConstraint) -> str:
-    return (
-        f"({constraint.sense.value} {canonical_expr(constraint.expr)} "
-        f"{_num(constraint.rhs)})"
-    )
+class _KeyMemo:
+    """The canonical text of one model as of :attr:`snapshot`."""
+
+    __slots__ = ("snapshot", "var_text", "variables", "rows", "objective")
+
+    def __init__(self, model: Model) -> None:
+        #: Each variable's :func:`canonical_var` text.
+        self.var_text: Dict[Var, str] = {}
+        #: The variable text joined in name order, as hashed.
+        self.variables = ""
+        #: Each constraint's text, by index.
+        self.rows: List[str] = []
+        self.objective = (
+            f"{'min' if model.minimize else 'max'} "
+            f"{canonical_expr(model.objective)}"
+        )
+        self.snapshot: Snapshot = (0, 0, 0)
+        self.extend(model)
+
+    def extend(self, model: Model) -> None:
+        """Render what was appended to ``model`` since :attr:`snapshot`."""
+        _, num_vars, num_cons = self.snapshot
+        variables = model.variables
+        if len(variables) > num_vars:
+            var_text = self.var_text
+            for var in variables[num_vars:]:
+                var_text[var] = canonical_var(var)
+            self.variables = ";".join(
+                var_text[v] for v in sorted(variables, key=lambda v: v.name)
+            )
+        text = self.var_text.__getitem__
+        self.rows.extend(
+            f"({c.sense.value} {canonical_expr(c.expr, text)} {_num(c.rhs)})"
+            for c in model.constraints[num_cons:]
+        )
+        self.snapshot = model.snapshot()
+
+
+#: Model -> its key memo; weak, so a memo dies with its model.
+_MEMO: weakref.WeakKeyDictionary[Model, _KeyMemo] = weakref.WeakKeyDictionary()
 
 
 def model_key(model: Model, backend: str = "") -> str:
@@ -156,15 +212,17 @@ def model_key(model: Model, backend: str = "") -> str:
     not model/constraint *names*, so a rebuilt model with identical
     mathematics warm-starts from a previous run's answer. Constraint
     order is preserved (it is deterministic per build and cheap to keep).
+    A repeated call renders only the rows appended since the last one
+    (see the module docstring).
     """
-    variables = ";".join(
-        canonical_var(v) for v in sorted(model.variables, key=lambda v: v.name)
+    memo = _MEMO.get(model)
+    if memo is not None and model.appended_since(memo.snapshot):
+        memo.extend(model)
+    else:
+        memo = _MEMO[model] = _KeyMemo(model)
+    return _digest(
+        "milp", backend, memo.variables, ";".join(memo.rows), memo.objective
     )
-    constraints = ";".join(_canonical_constraint(c) for c in model.constraints)
-    objective = (
-        f"{'min' if model.minimize else 'max'} {canonical_expr(model.objective)}"
-    )
-    return _digest("milp", backend, variables, constraints, objective)
 
 
 def text_key(*parts: str) -> str:

@@ -19,6 +19,11 @@ with a few appended cut rows per iteration):
 
 Passing ``warm`` never changes the mathematical result — only the
 search order and how fast optimality is proved.
+
+A ``deadline`` (a :func:`time.monotonic` instant) bounds the search in
+time: once it has passed, the solve stops before its next node with
+``ITERATION_LIMIT``, so a caller with a time budget can fail by time
+but never hang.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -154,6 +160,7 @@ def solve_matrix(
     gap_tol: float = 1e-9,
     use_presolve: bool = True,
     warm: Optional[WarmStart] = None,
+    deadline: Optional[float] = None,
 ) -> SolveResult:
     """Solve a MILP given in matrix form. Minimization."""
     incumbent_x: Optional[np.ndarray] = None
@@ -204,6 +211,13 @@ def solve_matrix(
         if nodes_explored >= max_nodes:
             hit_limit = True
             break
+        if deadline is not None and time.monotonic() >= deadline:
+            # An unproven incumbent is not an optimum: report the limit.
+            return SolveResult(
+                SolveStatus.ITERATION_LIMIT,
+                iterations=nodes_explored,
+                message="deadline passed",
+            )
         nodes_explored += 1
 
         lp = solve_lp(

@@ -106,28 +106,21 @@ class MatrixForm:
         return self.a_ub.shape[0] + self.a_eq.shape[0]
 
 
+#: ``(revision, #variables, #constraints)`` of a :class:`Model`; see
+#: :meth:`Model.snapshot`.
+Snapshot = Tuple[int, int, int]
+
+
 class _MatrixCache:
-    """Snapshot of the last :meth:`Model.to_matrix_form` conversion.
+    """The last :meth:`Model.to_matrix_form` conversion and the
+    :meth:`Model.snapshot` it was built at, so a later call can convert
+    just the rows appended since (the exploration loop appends a few cut
+    rows per iteration to an otherwise unchanged model)."""
 
-    Holds the assembled form plus the model revision and sizes it was
-    built at, so a later call can detect "only appends happened since"
-    and convert just the new constraint rows instead of re-walking every
-    coefficient map (the exploration loop appends a few cut rows per
-    iteration to an otherwise unchanged model).
-    """
+    __slots__ = ("snapshot", "form")
 
-    __slots__ = ("revision", "num_variables", "num_constraints", "form")
-
-    def __init__(
-        self,
-        revision: int,
-        num_variables: int,
-        num_constraints: int,
-        form: MatrixForm,
-    ) -> None:
-        self.revision = revision
-        self.num_variables = num_variables
-        self.num_constraints = num_constraints
+    def __init__(self, snapshot: Snapshot, form: MatrixForm) -> None:
+        self.snapshot = snapshot
         self.form = form
 
 
@@ -143,11 +136,12 @@ class Model:
         self.minimize = True
         #: Bumped on *every* mutation (variable add, constraint add,
         #: objective change). Incremental consumers — the matrix cache
-        #: below and :class:`repro.solver.session.IncrementalSession` —
-        #: compare revision deltas against variable/constraint count
-        #: deltas to decide whether all mutations since their last sync
-        #: were pure appends. Cache keys (repro.runtime.keys.model_key)
-        #: hash mathematical content only and never read this counter.
+        #: below, :class:`repro.solver.session.IncrementalSession` and the
+        #: key memo of :mod:`repro.runtime.keys` — hold a
+        #: :meth:`snapshot` and ask :meth:`appended_since` whether every
+        #: mutation after it was a pure append. Keys hash mathematical
+        #: content only; the counter decides what to re-render, never
+        #: what goes into a key.
         self.revision: int = 0
         self._matrix_cache: Optional[_MatrixCache] = None
 
@@ -248,6 +242,32 @@ class Model:
         for var in self.objective.coeffs:
             self.add_variable(var)
 
+    # -- append tracking -------------------------------------------------------
+
+    def snapshot(self) -> Snapshot:
+        """The model's ``(revision, #variables, #constraints)`` now."""
+        return (self.revision, len(self._variables), len(self.constraints))
+
+    def appended_since(self, snapshot: Optional[Snapshot]) -> bool:
+        """True when every mutation since ``snapshot`` (taken on this
+        model) appended a variable or a constraint.
+
+        Each mutation bumps :attr:`revision` once, and only appends also
+        grow a count, so the revision delta equals the count deltas
+        exactly when nothing else (such as :meth:`set_objective`)
+        happened. ``None`` — no snapshot yet — is never append-only.
+        """
+        if snapshot is None:
+            return False
+        revision, num_variables, num_constraints = snapshot
+        new_vars = len(self._variables) - num_variables
+        new_cons = len(self.constraints) - num_constraints
+        return (
+            new_vars >= 0
+            and new_cons >= 0
+            and self.revision - revision == new_vars + new_cons
+        )
+
     # -- copying ---------------------------------------------------------------
 
     def copy(self, name: str = "") -> "Model":
@@ -293,28 +313,13 @@ class Model:
         arrays must be treated as read-only by backends.
         """
         cache = self._matrix_cache
-        if cache is not None and cache.revision == self.revision:
+        if cache is not None and cache.snapshot[0] == self.revision:
             return cache.form
-        if cache is not None:
-            new_vars = len(self._variables) - cache.num_variables
-            new_cons = len(self.constraints) - cache.num_constraints
-            if (
-                new_vars >= 0
-                and new_cons >= 0
-                and self.revision - cache.revision == new_vars + new_cons
-            ):
-                form = self._extend_matrix_form(cache, new_vars)
-                self._matrix_cache = _MatrixCache(
-                    self.revision,
-                    len(self._variables),
-                    len(self.constraints),
-                    form,
-                )
-                return form
-        form = self._build_matrix_form()
-        self._matrix_cache = _MatrixCache(
-            self.revision, len(self._variables), len(self.constraints), form
-        )
+        if cache is not None and self.appended_since(cache.snapshot):
+            form = self._extend_matrix_form(cache)
+        else:
+            form = self._build_matrix_form()
+        self._matrix_cache = _MatrixCache(self.snapshot(), form)
         return form
 
     def _constraint_row(
@@ -373,10 +378,12 @@ class Model:
             integrality,
         )
 
-    def _extend_matrix_form(self, cache: _MatrixCache, new_vars: int) -> MatrixForm:
+    def _extend_matrix_form(self, cache: _MatrixCache) -> MatrixForm:
         """Append-only fast path: pad columns, convert only new rows."""
         old = cache.form
+        _, num_variables, num_constraints = cache.snapshot
         n = len(self._variables)
+        new_vars = n - num_variables
         if new_vars:
             # Appended variables carry zero coefficients in every cached
             # row and in the (unchanged) objective.
@@ -385,7 +392,7 @@ class Model:
             a_ub = np.hstack([old.a_ub, pad_ub])
             a_eq = np.hstack([old.a_eq, pad_eq])
             objective = np.concatenate([old.objective, np.zeros(new_vars)])
-            added = self._variables[cache.num_variables:]
+            added = self._variables[num_variables:]
             lower = np.concatenate([old.lower, [v.lb for v in added]])
             upper = np.concatenate([old.upper, [v.ub for v in added]])
             integrality = np.concatenate(
@@ -400,7 +407,7 @@ class Model:
         ub_rhs: List[float] = []
         eq_rows: List[np.ndarray] = []
         eq_rhs: List[float] = []
-        for constraint in self.constraints[cache.num_constraints:]:
+        for constraint in self.constraints[num_constraints:]:
             row, rhs, is_eq = self._constraint_row(constraint, n)
             if is_eq:
                 eq_rows.append(row)

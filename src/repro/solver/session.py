@@ -53,7 +53,7 @@ import numpy as np
 from repro.exceptions import SolverError
 from repro.obs.trace import Tracer
 from repro.solver import branch_bound, scipy_backend
-from repro.solver.model import ConstraintSense, Model
+from repro.solver.model import ConstraintSense, Model, Snapshot
 from repro.solver.result import SolveResult, SolveStatus
 
 
@@ -68,6 +68,11 @@ class IncrementalSession:
 
     Each solve opens two phase spans on :attr:`tracer`: model-sync work
     is ``matrix_build`` and the solver run is ``milp_solve``.
+
+    ``time_limit`` caps each scipy-backend solve. ``deadline`` (a
+    :func:`time.monotonic` instant) ends the native branch-and-bound's
+    search once passed, with a limit status; the exploration engine
+    passes its run's deadline here.
     """
 
     def __init__(
@@ -75,6 +80,7 @@ class IncrementalSession:
         model: Model,
         backend: str = "scipy",
         time_limit: Optional[float] = None,
+        deadline: Optional[float] = None,
     ) -> None:
         self.model = model
         self.backend = backend
@@ -83,7 +89,8 @@ class IncrementalSession:
         #: exploration engine binds its run's tracer here.
         self.tracer = Tracer()
         #: Diagnostics: how often the fast append path was taken vs a
-        #: full rebuild. Read by tests and reports.
+        #: full rebuild. Read by tests and reports. Without the vendored
+        #: HiGHS every solve is a fresh ``milp`` run, so a rebuild.
         self.appends = 0
         self.rebuilds = 0
         if backend == "scipy":
@@ -93,7 +100,7 @@ class IncrementalSession:
                 else None
             )
         elif backend == "native":
-            self._impl = _NativeSession()
+            self._impl = _NativeSession(deadline)
         else:
             raise SolverError(
                 f"unknown solver backend {backend!r} for IncrementalSession"
@@ -103,6 +110,7 @@ class IncrementalSession:
         """Solve the bound model, reusing solver state where possible."""
         tracer = self.tracer
         if self._impl is None:
+            self.rebuilds += 1
             with tracer.phase("matrix_build"):
                 form = self.model.to_matrix_form()
             with tracer.phase("milp_solve"):
@@ -167,7 +175,8 @@ class _BackendSession:
 class _NativeSession(_BackendSession):
     """Warm-started native branch-and-bound."""
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: Optional[float] = None) -> None:
+        self._deadline = deadline
         self._warm = branch_bound.WarmStart()
         self._started = False
         self._form = None
@@ -179,7 +188,9 @@ class _NativeSession(_BackendSession):
         self._form = model.to_matrix_form()
 
     def solve(self, model: Model) -> SolveResult:
-        return branch_bound.solve_matrix(self._form, warm=self._warm)
+        return branch_bound.solve_matrix(
+            self._form, warm=self._warm, deadline=self._deadline
+        )
 
 
 class _HighsSession(_BackendSession):
@@ -210,9 +221,9 @@ class _HighsSession(_BackendSession):
         if time_limit is not None:
             h.setOptionValue("time_limit", float(time_limit))
         self._h = h
-        self._revision: Optional[int] = None
-        self._num_vars = 0
-        self._num_cons = 0
+        #: The model's :meth:`~repro.solver.model.Model.snapshot` at the
+        #: last sync; None before the first.
+        self._snapshot: Optional[Snapshot] = None
         #: Minimize-normalized objective vector mirrored locally (HiGHS
         #: owns the authoritative copy; this one prices solutions).
         self._cost: Optional[np.ndarray] = None
@@ -223,25 +234,14 @@ class _HighsSession(_BackendSession):
 
     # -- sync ---------------------------------------------------------------
 
-    def _is_append_only(self, model: Model) -> bool:
-        if self._revision is None:
-            return False
-        new_vars = model.num_variables - self._num_vars
-        new_cons = model.num_constraints - self._num_cons
-        if new_vars < 0 or new_cons < 0:
-            return False
-        return model.revision - self._revision == new_vars + new_cons
-
     def sync(self, model: Model) -> None:
-        if self._is_append_only(model):
+        if model.appended_since(self._snapshot):
             self._append(model)
             self.last_was_append = True
         else:
             self._pass_full(model)
             self.last_was_append = False
-        self._revision = model.revision
-        self._num_vars = model.num_variables
-        self._num_cons = model.num_constraints
+        self._snapshot = model.snapshot()
 
     def _pass_full(self, model: Model) -> None:
         core = scipy_backend._highs_core
@@ -263,7 +263,8 @@ class _HighsSession(_BackendSession):
         """
         core = scipy_backend._highs_core
         h = self._h
-        added_vars = model.variables[self._num_vars:]
+        _, num_vars, num_cons = self._snapshot
+        added_vars = model.variables[num_vars:]
         if added_vars:
             empty_idx = np.zeros(0, dtype=np.int32)
             empty_val = np.zeros(0, dtype=float)
@@ -271,11 +272,11 @@ class _HighsSession(_BackendSession):
                 h.addCol(0.0, float(var.lb), float(var.ub), 0, empty_idx, empty_val)
                 if var.is_integral:
                     h.changeColIntegrality(
-                        self._num_vars + offset, core.HighsVarType.kInteger
+                        num_vars + offset, core.HighsVarType.kInteger
                     )
             self._cost = np.concatenate([self._cost, np.zeros(len(added_vars))])
         index_of = model.index_of
-        for constraint in model.constraints[self._num_cons:]:
+        for constraint in model.constraints[num_cons:]:
             coeffs = constraint.expr.coeffs
             idx = np.fromiter(
                 (index_of(var) for var in coeffs), dtype=np.int32, count=len(coeffs)

@@ -111,6 +111,31 @@ class TestEdgeOutcomes:
         with pytest.raises(ExplorationError, match="converge"):
             explorer.explore_or_raise()
 
+    def test_native_solve_stops_at_the_run_deadline(self, problem, monkeypatch):
+        """A native candidate solve still running at the run's deadline
+        ends the run with TIME_LIMIT, not an error or a hang."""
+        import time
+
+        import repro.explore.engine as engine
+
+        mt, spec = problem
+        shift = [0.0]
+        monotonic = time.monotonic
+        monkeypatch.setattr(time, "monotonic", lambda: monotonic() + shift[0])
+        build = engine.build_candidate_milp
+
+        def build_then_jump(*args):
+            # The deadline is set by now; from here on it has passed.
+            shift[0] = 7200.0
+            return build(*args)
+
+        monkeypatch.setattr(engine, "build_candidate_milp", build_then_jump)
+        result = ContrArcExplorer(
+            mt, spec, backend="native", time_limit=3600.0
+        ).explore()
+        assert result.status is ExplorationStatus.TIME_LIMIT
+        assert result.stats.num_iterations == 0
+
     def test_bad_max_iterations(self, problem):
         mt, spec = problem
         with pytest.raises(ExplorationError):

@@ -1,5 +1,7 @@
 """Tests for the native branch-and-bound MILP backend."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.expr.terms import binary, continuous, integer
 from repro.solver import branch_bound, scipy_backend
 from repro.solver.model import Model
 from repro.solver.result import SolveStatus
+from repro.solver.session import IncrementalSession
 
 
 class TestSmallMILPs:
@@ -138,3 +141,49 @@ class TestAgainstScipyBackend:
         assert ours.status == ref.status
         if ours.status is SolveStatus.OPTIMAL:
             assert ours.objective == pytest.approx(ref.objective, abs=1e-5)
+
+
+def _multi_knapsack(n: int = 20, seed: int = 7) -> Model:
+    """Three-row 0/1 knapsack that branch-and-bound needs ~50 nodes for."""
+    rng = np.random.default_rng(seed)
+    x = [binary(f"k{i}") for i in range(n)]
+    m = Model("multi-knapsack")
+    for _ in range(3):
+        w = rng.integers(3, 20, n)
+        m.add_le(
+            sum((float(w[i]) * x[i] for i in range(n)), start=0 * x[0]),
+            float(w.sum() // 3),
+        )
+    v = rng.integers(5, 30, n)
+    m.set_objective(
+        sum((float(v[i]) * x[i] for i in range(n)), start=0 * x[0]), minimize=False
+    )
+    return m
+
+
+class TestDeadline:
+    def test_expired_deadline_stops_before_the_first_node(self):
+        form = _multi_knapsack().to_matrix_form()
+        assert branch_bound.solve_matrix(form).iterations > 10
+        result = branch_bound.solve_matrix(form, deadline=time.monotonic() - 1.0)
+        assert result.status is SolveStatus.ITERATION_LIMIT
+        assert result.iterations == 0
+        assert result.assignment == {}
+
+    def test_future_deadline_changes_nothing(self):
+        form = _multi_knapsack().to_matrix_form()
+        free = branch_bound.solve_matrix(form)
+        bounded = branch_bound.solve_matrix(form, deadline=time.monotonic() + 3600)
+        assert (bounded.status, bounded.objective, bounded.iterations) == (
+            free.status,
+            free.objective,
+            free.iterations,
+        )
+
+    def test_native_session_passes_its_deadline(self):
+        model = _multi_knapsack()
+        expired = IncrementalSession(
+            model, backend="native", deadline=time.monotonic() - 1.0
+        )
+        assert expired.solve().status is SolveStatus.ITERATION_LIMIT
+        assert IncrementalSession(model, backend="native").solve().is_optimal
