@@ -5,8 +5,9 @@ and iteration count for:
 
 * ``only subgraph isomorphism`` — certificates generalized over
   embeddings, but refinement runs on the whole candidate (no path
-  decomposition): few iterations, *large* disjunctive certificates and
-  expensive solves;
+  decomposition): every certificate is a whole-candidate no-good that
+  any larger architecture escapes, so the paper's "few iterations"
+  become many here, with expensive solves;
 * ``only decomposition``        — path-by-path refinement, but each
   certificate excludes exactly one invalid fragment (no isomorphism, no
   implementation widening): cheap iterations, *many* of them;

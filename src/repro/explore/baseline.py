@@ -189,7 +189,6 @@ class MonolithicExplorer:
                     model = build_candidate_milp(
                         self.mapping_template,
                         self.specification,
-                        cuts=(),
                         extra_constraints=self.system_constraints(),
                         name="monolithic",
                     )

@@ -13,16 +13,27 @@ whole candidate) and the violated viewpoint:
 
    ``sum(edges) + sum(bad mappings) <= |E| + |V| - 1``
 
-   For a whole-candidate fragment the cut is disjunctive: selecting a
-   strictly larger architecture (any extra boundary edge) re-opens the
-   possibility, since additional structure may fix a global violation.
+   For a whole-candidate fragment, selecting a strictly larger
+   architecture must lift the cut, since extra structure may fix a
+   global violation. Every template edge crossing the image's boundary
+   therefore enters the row negated (a canonical no-good cut, Balas &
+   Jeroslow 1972):
 
-The cuts of all embeddings of a fragment are built at once, as sparse
-rows over the template's structural columns (numpy gathers over an
-embeddings x pattern-nodes index array); a cut's ``Formula`` is built
-only when something reads it. Every embedding yields its own cut;
-duplicates are dropped once, by the engine's check of each cut's
-sorted-row key. The identity embedding (or a
+   ``sum(edges) + sum(bad mappings) - sum(boundary edges) <= |E| + |V| - 1``
+
+   The variables are binary and the interconnection contract allows at
+   most one implementation per slot, so the first two sums reach
+   ``|E| + |V|`` only on the embedded fragment with all-bad
+   implementations, and the row fails only if no boundary edge is
+   selected too: "grow, or exclude" as one row.
+
+Every certificate is one sparse row over the template's structural
+columns. The cuts of all embeddings of a fragment are built at once
+(numpy gathers over an embeddings x pattern-nodes index array); a cut's
+``Formula`` is built only when something reads it. Every embedding
+yields its own cut; duplicates are dropped once, by the engine's check
+of each cut's key (its sorted +1 columns, sorted -1 columns and bound).
+The identity embedding (or a
 symmetric variant with the same widened sets, which yields the same
 cut) is always among the matches, so the cut set should exclude the
 current candidate. :mod:`repro.explore.engine` checks that it does and
@@ -31,7 +42,7 @@ raises instead of looping on a candidate no new cut excludes.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -39,7 +50,7 @@ from repro.arch.architecture import CandidateArchitecture
 from repro.arch.library import Implementation
 from repro.contracts.viewpoints import Viewpoint
 from repro.arch.template import MappingTemplate, StructuralColumns
-from repro.explore.encoding import Atom, Cut
+from repro.explore.encoding import Cut
 from repro.explore.refinement_check import Violation
 from repro.graph import matchers
 from repro.graph.digraph import DiGraph, NodeId
@@ -216,28 +227,24 @@ def _cuts_for_images(
     prefix = f"{viewpoint.name}: exclude "
 
     if whole_candidate:
-        # Template edges crossing each image's boundary: selecting any
-        # of them (a strictly larger architecture) re-opens the
-        # possibility, since extra structure may fix a global violation.
+        # Template edges crossing each image's boundary.
         inside = np.zeros((len(images), len(columns.names)), dtype=bool)
         inside[np.arange(len(images))[:, None], images] = True
         crossing = inside[:, columns.ends[:, 0]] != inside[:, columns.ends[:, 1]]
-        grow_bound = -float(len(edges) + 1)
 
+    ones = np.ones(rows.shape[1])
+    boundary = np.zeros(0, dtype=np.intp)
     cuts: List[Cut] = []
     for i, row in enumerate(rows):
-        atoms: Tuple[Atom, ...] = ((row, 1.0, bound),)
-        key: Tuple = (sorted_rows[i].tobytes(), bound)
+        row_columns, coefs = row, ones
         description = prefix + ",".join(image_names[i])
         if whole_candidate:
             boundary = np.flatnonzero(crossing[i])
-            if len(boundary):
-                # ``sum(edges) + sum(boundary) >= |E| + 1``
-                grow = np.concatenate([edge_columns[i], boundary])
-                atoms = ((grow, -1.0, grow_bound),) + atoms
-                key += (np.sort(grow).tobytes(),)
-                description += " (whole)"
-            else:
-                description += " (whole, closed)"
-        cuts.append(Cut.from_rows(atoms, columns.variables, key, description))
+            row_columns = np.concatenate([row, boundary])
+            coefs = np.concatenate([ones, -np.ones(len(boundary))])
+            description += " (whole)" if len(boundary) else " (whole, closed)"
+        key = (sorted_rows[i].tobytes(), boundary.tobytes(), bound)
+        cuts.append(
+            Cut(row_columns, coefs, bound, columns.variables, key, description)
+        )
     return cuts

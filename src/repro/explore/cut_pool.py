@@ -9,14 +9,11 @@ of rows and HiGHS pays for every row in presolve, every solve.
 loop activates a cut (encodes it into the MILP) only when a candidate
 violates it, and checks every solved candidate against the pool; see
 :mod:`repro.explore.engine` for the protocol. The pool stores the cuts'
-sparse rows (:class:`~repro.explore.encoding.Cut` ``atoms``) and
-evaluates them on a candidate's 0/1 structural assignment as one sparse
-matrix-vector product per batch of cuts; a pooled cut's ``Formula`` is
-never built unless the cut is activated.
-
-Every cut of :func:`repro.explore.certificates.generate_cuts` carries
-rows. A cut that carries only a formula is activated on emission, which
-is always sound.
+sparse rows (:class:`~repro.explore.encoding.Cut` ``columns``,
+``coefs`` and ``bound``) and evaluates them on a candidate's 0/1
+structural assignment as one sparse matrix-vector product per batch of
+cuts; a pooled cut's ``Formula`` is never built unless the cut is
+activated.
 """
 
 from __future__ import annotations
@@ -33,44 +30,32 @@ from repro.expr.constraints import EVAL_TOL
 
 
 class _Block:
-    """A batch of cuts as stacked sparse rows, one row per atom.
+    """A batch of cuts as stacked sparse rows, one row per cut."""
 
-    A cut holds when any of its atoms holds (a plain comparison is a
-    one-atom disjunction).
-    """
-
-    def __init__(
-        self, matrix: csr_matrix, bounds: np.ndarray, atom_counts: np.ndarray
-    ) -> None:
+    def __init__(self, matrix: csr_matrix, bounds: np.ndarray) -> None:
         self.matrix = matrix
         self.bounds = bounds
-        self.atom_counts = atom_counts
-        self.starts = np.concatenate([[0], np.cumsum(atom_counts)[:-1]])
 
     @classmethod
     def of(cls, cuts: Sequence[Cut], num_columns: int) -> "_Block":
-        atoms = [atom for cut in cuts for atom in cut.atoms]
-        lengths = [len(columns) for columns, _, _ in atoms]
+        lengths = [len(cut.columns) for cut in cuts]
         matrix = csr_matrix(
             (
-                np.repeat([coef for _, coef, _ in atoms], lengths),
-                np.concatenate([columns for columns, _, _ in atoms]),
+                np.concatenate([cut.coefs for cut in cuts]),
+                np.concatenate([cut.columns for cut in cuts]),
                 np.concatenate([[0], np.cumsum(lengths)]),
             ),
-            shape=(len(atoms), num_columns),
+            shape=(len(cuts), num_columns),
         )
-        bounds = np.array([bound for _, _, bound in atoms])
-        return cls(matrix, bounds, np.array([len(cut.atoms) for cut in cuts]))
+        return cls(matrix, np.array([cut.bound for cut in cuts]))
 
     def satisfied(self, point: np.ndarray) -> np.ndarray:
         """Per cut, whether it holds at ``point``."""
-        holds = self.matrix @ point - self.bounds <= EVAL_TOL
-        return np.logical_or.reduceat(holds, self.starts)
+        return self.matrix @ point - self.bounds <= EVAL_TOL
 
     def select(self, keep: np.ndarray) -> "_Block":
         """The block of the cuts where ``keep`` is true."""
-        rows = np.repeat(keep, self.atom_counts)
-        return _Block(self.matrix[rows], self.bounds[rows], self.atom_counts[keep])
+        return _Block(self.matrix[keep], self.bounds[keep])
 
 
 class CutPool:
@@ -87,26 +72,17 @@ class CutPool:
     def offer(
         self, cuts: Sequence[Cut], candidate: CandidateArchitecture
     ) -> List[Cut]:
-        """Pool the cuts ``candidate`` satisfies; return the rest.
-
-        The returned cuts (those the candidate violates, plus any cut
-        that carries no rows) must be activated now.
-        """
-        rows = [cut for cut in cuts if cut.atoms]
-        holds = np.zeros(0, dtype=bool)
-        if rows:
-            block = _Block.of(rows, len(self.columns.variables))
-            holds = block.satisfied(self.columns.point(candidate))
-            if holds.any():
-                self._blocks.append(block.select(holds))
-        verdicts = iter(holds.tolist())
-        activate: List[Cut] = []
-        for cut in cuts:
-            if cut.atoms and next(verdicts):
-                self._cuts.append(cut)
-            else:
-                activate.append(cut)
-        return activate
+        """Pool the cuts ``candidate`` satisfies; return the rest, which
+        must be activated now."""
+        if not cuts:
+            return []
+        block = _Block.of(cuts, len(self.columns.variables))
+        holds = block.satisfied(self.columns.point(candidate))
+        if holds.any():
+            self._blocks.append(block.select(holds))
+        verdicts = holds.tolist()
+        self._cuts.extend(cut for cut, held in zip(cuts, verdicts) if held)
+        return [cut for cut, held in zip(cuts, verdicts) if not held]
 
     def violated_by(self, candidate: CandidateArchitecture) -> bool:
         """Whether ``candidate`` violates any pooled cut."""

@@ -4,80 +4,80 @@ Builds the optimization problem
 
     min  sum_i alpha_i * sum_x m(i,x) * cost(x)
     s.t. phi_A and phi_G for every component contract of every viewpoint
-         phi_c            (the accumulated infeasibility certificates)
 
 over the mapping template's decision variables. Logical structure in the
 contract formulas is lowered to linear arithmetic by the big-M encoder.
+The exploration loop (:mod:`repro.explore.engine`) appends the
+accumulated infeasibility certificates, one :class:`Cut` row each.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.architecture import CandidateArchitecture
 from repro.arch.template import MappingTemplate
-from repro.expr.constraints import Comparison, Formula, Or, Sense
+from repro.expr.constraints import Comparison, Formula, Sense
 from repro.expr.terms import LinExpr, Var
 from repro.solver.encoder import FormulaEncoder
 from repro.solver.model import Model
 from repro.spec.base import Specification
 
 
-#: One linear atom ``coef * sum(x[columns]) <= bound``.
-Atom = Tuple[np.ndarray, float, float]
-
-
 class Cut:
     """One infeasibility-certificate constraint (element of the set c).
 
-    A cut is a formula, or -- as every cut of
-    :func:`repro.explore.certificates.generate_cuts` is -- sparse rows
-    over the template's
-    :class:`~repro.arch.template.StructuralColumns`: a disjunction of
-    ``atoms``, with a ``key`` that names the rows for deduplication. A
-    row cut builds its formula from the columns' own variables on first
-    read and caches it.
+    A cut is one sparse row over the template's
+    :class:`~repro.arch.template.StructuralColumns`:
+    ``sum(coefs * x[columns]) <= bound``, with a ``key`` that names the
+    row for deduplication. It builds its formula from the columns' own
+    variables on first read and caches it.
     """
 
-    __slots__ = ("_formula", "description", "atoms", "variables", "key")
+    __slots__ = (
+        "columns",
+        "coefs",
+        "bound",
+        "variables",
+        "key",
+        "description",
+        "_formula",
+    )
 
-    def __init__(self, formula: Optional[Formula], description: str = "") -> None:
-        self._formula = formula
-        self.description = description
-        self.atoms: Tuple[Atom, ...] = ()
-        self.variables: Tuple[Var, ...] = ()
-        self.key: Optional[Hashable] = None
-
-    @classmethod
-    def from_rows(
-        cls,
-        atoms: Tuple[Atom, ...],
+    def __init__(
+        self,
+        columns: np.ndarray,
+        coefs: np.ndarray,
+        bound: float,
         variables: Tuple[Var, ...],
-        key: Hashable,
-        description: str,
-    ) -> "Cut":
-        """A cut of ``atoms`` over columns numbered like ``variables``."""
-        cut = cls(None, description)
-        cut.atoms, cut.variables, cut.key = atoms, variables, key
-        return cut
+        key: Hashable = None,
+        description: str = "",
+    ) -> None:
+        self.columns = columns
+        self.coefs = coefs
+        self.bound = bound
+        self.variables = variables
+        self.key = key
+        self.description = description
+        self._formula: Optional[Comparison] = None
 
     @property
-    def formula(self) -> Formula:
+    def formula(self) -> Comparison:
         if self._formula is None:
             variables = self.variables
             # ``0.0 - bound``, not ``-bound``: a zero bound must give the
             # +0.0 constant ``expr <= 0`` gives, or the formula key differs.
-            comparisons = [
-                Comparison(
-                    LinExpr({variables[j]: coef for j in cols.tolist()}, 0.0 - bound),
-                    Sense.LE,
-                )
-                for cols, coef, bound in self.atoms
-            ]
-            self._formula = (
-                comparisons[0] if len(comparisons) == 1 else Or(*comparisons)
+            self._formula = Comparison(
+                LinExpr(
+                    {
+                        variables[j]: coef
+                        for j, coef in zip(self.columns.tolist(), self.coefs.tolist())
+                    },
+                    0.0 - self.bound,
+                ),
+                Sense.LE,
             )
         return self._formula
 
@@ -88,13 +88,19 @@ class Cut:
 def exclude_candidate_cut(
     mapping_template: MappingTemplate, candidate: CandidateArchitecture
 ) -> Cut:
-    """No-good cut excluding exactly one structural assignment."""
-    assignment = candidate.structural_assignment()
-    selected = [var for var, value in assignment.items() if value >= 0.5]
-    unselected = [var for var, value in assignment.items() if value < 0.5]
-    # sum(selected) - sum(unselected) <= |selected| - 1.
-    expr = LinExpr.sum(selected) - LinExpr.sum(unselected)
-    return Cut(expr <= len(selected) - 1, "accepted-solution no-good")
+    """No-good cut excluding exactly one structural assignment:
+    ``sum(selected) - sum(unselected) <= |selected| - 1``."""
+    columns = mapping_template.structural_columns
+    point = columns.point(candidate)
+    selected = np.flatnonzero(point >= 0.5)
+    unselected = np.flatnonzero(point < 0.5)
+    return Cut(
+        np.concatenate([selected, unselected]),
+        np.concatenate([np.ones(len(selected)), -np.ones(len(unselected))]),
+        float(len(selected) - 1),
+        columns.variables,
+        description="accepted-solution no-good",
+    )
 
 
 def cost_expression(mapping_template: MappingTemplate) -> LinExpr:
@@ -161,7 +167,6 @@ def symmetry_breaking_constraints(
 def build_candidate_milp(
     mapping_template: MappingTemplate,
     specification: Specification,
-    cuts: Sequence[Cut] = (),
     extra_constraints: Iterable[Formula] = (),
     name: str = "candidate-selection",
     break_symmetry: bool = True,
@@ -179,9 +184,6 @@ def build_candidate_milp(
             encoder.enforce(contract.assumptions)
             encoder.enforce(contract.guarantees)
 
-    encoder.prefix = "cut"
-    for cut in cuts:
-        encoder.enforce(cut.formula)
     encoder.prefix = "extra"
     for formula in extra_constraints:
         encoder.enforce(formula)

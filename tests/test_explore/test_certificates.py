@@ -122,8 +122,8 @@ class TestCutGeneration:
 
     def test_whole_candidate_cut_allows_growth(self, violation):
         mt, candidate, v = violation
-        # This violation covers the entire candidate, so the cut is the
-        # disjunctive (grow OR exclude) form; a larger architecture that
+        # This violation covers the entire candidate, so the cut's
+        # boundary edges enter negated; a larger architecture that
         # contains the bad fragment plus extra structure must survive.
         assert v.sub_architecture.is_whole_candidate
         cuts = generate_cuts(mt, candidate, v, use_isomorphism=False)
@@ -182,7 +182,7 @@ def test_row_verdicts_match_formula_evaluate(name, monkeypatch):
     columns = mt.structural_columns
     points = np.random.default_rng(17).integers(0, 2, (50, len(columns.variables)))
     for candidate, cuts in calls:
-        assert all(cut.atoms for cut in cuts)
+        assert all(len(cut.columns) == len(cut.coefs) > 0 for cut in cuts)
         block = _Block.of(cuts, len(columns.variables))
         at_candidate = block.satisfied(columns.point(candidate)).tolist()
         values = candidate.structural_assignment()
@@ -193,8 +193,10 @@ def test_row_verdicts_match_formula_evaluate(name, monkeypatch):
                 cut.formula.evaluate(values) for cut in cuts
             ]
     if name == "epn(2, 0, 0) only-iso":
-        # Every cut is a whole-candidate (grow OR exclude) disjunction.
-        assert [len(cut.atoms) for cut in result.cuts] == [2] * 112
+        # Every cut is a whole-candidate no-good: one row whose boundary
+        # edges enter negated.
+        assert len(result.cuts) == 96
+        assert all((cut.coefs < 0).any() for cut in result.cuts)
 
 
 def test_rpl_2_2_trajectory_is_pinned():

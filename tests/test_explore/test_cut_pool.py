@@ -22,6 +22,7 @@ from repro.casestudies import epn, rpl, wsn
 from repro.explore.cut_pool import CutPool
 from repro.explore.encoding import Cut, build_candidate_milp
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
+from repro.solver.encoder import FormulaEncoder
 from repro.solver.feasibility import get_backend
 
 CASES = [
@@ -63,9 +64,10 @@ class TestLazyActivationIsSound:
 
     def test_full_cut_set_has_the_same_optimum(self, name, builder, backend):
         result, mapping_template, specification = _run(name, builder, backend)
-        model = build_candidate_milp(
-            mapping_template, specification, cuts=result.cuts
-        )
+        model = build_candidate_milp(mapping_template, specification)
+        encoder = FormulaEncoder(model, prefix="cut")
+        for cut in result.cuts:
+            encoder.enforce(cut.formula)
         solved = get_backend("scipy")(model)
         assert solved.is_optimal
         assert solved.objective == pytest.approx(result.cost)
@@ -89,23 +91,20 @@ def test_rpl_keeps_most_cuts_out_of_the_model():
 # -- CutPool unit tests --------------------------------------------------------
 
 
-def _row_cut(columns, *atoms):
-    """A cut carrying rows: ``(variables, coef, bound)`` atoms."""
+def _row_cut(columns, variables, coefs, bound):
+    """The cut ``sum(coefs * variables) <= bound``."""
     index = {var: j for j, var in enumerate(columns.variables)}
-    return Cut.from_rows(
-        tuple(
-            (np.array([index[var] for var in variables]), coef, bound)
-            for variables, coef, bound in atoms
-        ),
+    return Cut(
+        np.array([index[var] for var in variables]),
+        np.array(coefs, dtype=float),
+        bound,
         columns.variables,
-        None,
-        "",
     )
 
 
 def _candidate_and_cuts():
-    """RPL(2,2)'s first candidate, one selected and one unselected edge
-    key, and cuts of every shape the pool handles."""
+    """RPL(2,2)'s first candidate, one unselected edge key, and held and
+    violated cuts with and without negative coefficients."""
     mapping_template, specification = rpl.build_problem(2, 2)
     solved = get_backend("scipy")(
         build_candidate_milp(mapping_template, specification)
@@ -122,18 +121,13 @@ def _candidate_and_cuts():
     unselected = edge_vars[unselected_keys[0]]
     grown = [edge_vars[key] for key in unselected_keys[:2]]
     cuts = {
-        "violated": _row_cut(columns, ([selected], 1.0, 0.0)),
-        "held": _row_cut(columns, ([unselected], 1.0, 0.0)),
-        "or_held": _row_cut(
-            columns, ([selected], 1.0, 0.0), ([unselected], 1.0, 0.0)
+        "violated": _row_cut(columns, [selected], [1], 0.0),
+        "held": _row_cut(columns, [unselected], [1], 0.0),
+        "pair_held": _row_cut(columns, [selected, unselected], [1, 1], 1.0),
+        # A no-good row with negated (unselected) boundary edges.
+        "negated_violated": _row_cut(
+            columns, [selected, *grown], [1, -1, -1], 0.0
         ),
-        "or_violated": _row_cut(
-            columns, ([selected], 1.0, 0.0), (grown, -1.0, -1.0)
-        ),
-        # Cuts that carry only a formula, even a row-shaped one.
-        "opaque": Cut(~(selected.to_expr() <= 0)),
-        "opaque_eq": Cut((selected + unselected).eq(1)),
-        "opaque_le": Cut(unselected.to_expr() <= 0),
     }
     return mapping_template, candidate, unselected_keys[0], cuts
 
@@ -145,27 +139,16 @@ class TestCutPool:
         pool = CutPool(mapping_template)
         offered = list(cuts.values())
         activate = pool.offer(offered, candidate)
-        expected = [
-            cut
-            for name, cut in cuts.items()
-            if name.startswith("opaque") or not cut.formula.evaluate(values)
-        ]
+        expected = [cut for cut in offered if not cut.formula.evaluate(values)]
+        assert expected == [cuts["violated"], cuts["negated_violated"]]
         assert activate == expected
         assert len(pool) == len(offered) - len(expected)
-
-    def test_opaque_cuts_are_activated_not_pooled(self):
-        mapping_template, candidate, _, cuts = _candidate_and_cuts()
-        pool = CutPool(mapping_template)
-        # All hold here, but the pool evaluates only rows.
-        opaque = [cuts["opaque"], cuts["opaque_eq"], cuts["opaque_le"]]
-        assert pool.offer(opaque, candidate) == opaque
-        assert len(pool) == 0
 
     def test_violated_by_and_drain(self):
         mapping_template, candidate, unselected, cuts = _candidate_and_cuts()
         pool = CutPool(mapping_template)
         assert not pool.violated_by(candidate)
-        pool.offer([cuts["held"], cuts["or_held"]], candidate)
+        pool.offer([cuts["held"], cuts["pair_held"]], candidate)
         assert not pool.violated_by(candidate)
         # Selecting the edge the pooled cuts forbid violates both.
         grown = CandidateArchitecture(
@@ -174,6 +157,6 @@ class TestCutPool:
             candidate.selected_impls,
         )
         assert pool.violated_by(grown)
-        assert pool.drain() == [cuts["held"], cuts["or_held"]]
+        assert pool.drain() == [cuts["held"], cuts["pair_held"]]
         assert len(pool) == 0
         assert not pool.violated_by(grown)

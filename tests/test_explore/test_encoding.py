@@ -4,12 +4,13 @@ import pytest
 
 from repro.arch.architecture import CandidateArchitecture
 from repro.explore.encoding import (
-    Cut,
     build_candidate_milp,
     cost_expression,
+    exclude_candidate_cut,
     symmetry_breaking_constraints,
     symmetry_groups,
 )
+from repro.solver.encoder import FormulaEncoder
 from repro.solver.scipy_backend import solve
 
 
@@ -54,17 +55,14 @@ class TestCandidateMilp:
 
     def test_cuts_are_enforced(self, problem):
         mt, spec = problem
-        base = build_candidate_milp(mt, spec)
+        model = build_candidate_milp(mt, spec)
         first = CandidateArchitecture.from_assignment(
-            mt, solve(base).assignment
+            mt, solve(model).assignment
         )
-        # Forbid the exact first candidate via a no-good style cut.
-        structural = first.structural_assignment()
-        selected = [var for var, val in structural.items() if val >= 0.5]
-        from repro.expr.terms import LinExpr
-
-        cut = Cut(LinExpr.sum(selected) <= len(selected) - 1, "no-good")
-        model = build_candidate_milp(mt, spec, cuts=[cut])
+        # Forbid the exact first candidate by its no-good row.
+        FormulaEncoder(model, prefix="cut").enforce(
+            exclude_candidate_cut(mt, first).formula
+        )
         second = CandidateArchitecture.from_assignment(
             mt, solve(model).assignment
         )

@@ -1,5 +1,6 @@
 """Tests for the ContrArc exploration loop."""
 
+import numpy as np
 import pytest
 
 from repro.casestudies import epn, rpl, wsn
@@ -9,7 +10,6 @@ from repro.exceptions import (
 )
 from repro.explore.encoding import Cut
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
-from repro.expr.terms import LinExpr
 from repro.runtime.job import SCENARIOS
 
 
@@ -136,6 +136,20 @@ class TestEdgeOutcomes:
         assert result.status is ExplorationStatus.TIME_LIMIT
         assert result.stats.num_iterations == 0
 
+    def test_stateless_native_solve_stops_at_the_run_deadline(self):
+        """Without an incremental session the native search still stops
+        at the run's deadline (after at most one more node LP): RPL(2,2)
+        would otherwise run for minutes."""
+        import time
+
+        mt, spec = rpl.build_problem(2, 2)
+        started = time.monotonic()
+        result = ContrArcExplorer(
+            mt, spec, backend="native", incremental=False, time_limit=2
+        ).explore()
+        assert result.status is ExplorationStatus.TIME_LIMIT
+        assert time.monotonic() - started < 20
+
     def test_bad_max_iterations(self, problem):
         mt, spec = problem
         with pytest.raises(ExplorationError):
@@ -148,8 +162,15 @@ class TestProgress:
 
     def test_cut_the_candidate_satisfies_raises(self, problem, monkeypatch):
         mt, spec = problem
-        var = mt.structural_vars()[0]
-        vacuous = Cut(LinExpr.sum([var]) <= 1, "vacuous")
+        # ``x_0 <= 1`` holds at every 0/1 point.
+        vacuous = Cut(
+            np.array([0]),
+            np.ones(1),
+            1.0,
+            mt.structural_columns.variables,
+            "vacuous",
+            "vacuous",
+        )
         monkeypatch.setattr(
             "repro.explore.engine.generate_cuts", lambda *a, **k: [vacuous]
         )
