@@ -8,12 +8,21 @@ production line while growing the per-stage candidate count
 * ``monolithic`` — the ArchEx-style one-shot MILP, whose compiled
   per-template-path timing constraints blow up with n;
 * ``lazy``       — the lazy loop without certificates, the weakest
-  comparable baseline.
+  comparable baseline, capped at ``REPRO_BENCH_TIME_LIMIT`` seconds.
 
-Expected shape: all find the same cost; ContrArc's runtime grows far
-slower than both baselines as n increases.
+Every run of an arm happens in its own spawned child process, so the
+peak-RSS column (the child's ``ru_maxrss``) belongs to that arm alone.
+ContrArc and the monolithic arm run ``REPEATS`` times and report the
+median run with the spread of all runs; the lazy arm runs once, since
+it spends its whole cap. Sizes go to ``REPRO_BENCH_RPL_MAX_N`` (default
+5 here).
+
+Expected shape (the paper's): all find the same cost; ContrArc's runtime
+grows far slower than both baselines as n increases.
 """
 
+import multiprocessing
+import resource
 import time
 
 import pytest
@@ -21,7 +30,6 @@ import pytest
 from repro.casestudies import rpl
 from repro.explore import ContrArcExplorer
 from repro.explore.baseline import MonolithicExplorer, lazy_nogood_explorer
-from repro.explore.engine import ExplorationStatus
 from repro.reporting.tables import format_seconds, render_table
 
 from benchmarks.conftest import (
@@ -31,12 +39,9 @@ from benchmarks.conftest import (
     scenario_time_limit,
 )
 
-SIZES = list(range(1, rpl_max_n() + 1))
+SIZES = list(range(1, rpl_max_n(5) + 1))
+REPEATS = 3
 _RESULTS = {}
-
-
-def _record(name, n, result, elapsed):
-    _RESULTS.setdefault(n, {})[name] = (result, elapsed)
 
 
 def _run_contrarc(n):
@@ -62,31 +67,57 @@ def _run_lazy(n):
     ).explore()
 
 
+ARMS = {"contrarc": _run_contrarc, "monolithic": _run_monolithic, "lazy": _run_lazy}
+
+
+def _measure(arm, n):
+    """Child-process body: one run of ``arm`` at size ``n``, as its
+    record plus the process's peak RSS in MiB."""
+    started = time.perf_counter()
+    result = ARMS[arm](n)
+    record = exploration_record(result, time.perf_counter() - started)
+    record["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+    )
+    return record
+
+
+def _run_arm(arm, n, repeats):
+    """``repeats`` runs of ``arm``, each in a fresh spawned process: the
+    median-time run's record, with every run's time and peak RSS."""
+    context = multiprocessing.get_context("spawn")
+    runs = []
+    for _ in range(repeats):
+        with context.Pool(1) as pool:
+            runs.append(pool.apply(_measure, (arm, n)))
+    runs.sort(key=lambda record: record["wall_clock"])
+    record = dict(runs[(len(runs) - 1) // 2])
+    record["wall_clock_runs"] = [r["wall_clock"] for r in runs]
+    record["peak_rss_mb_runs"] = [r["peak_rss_mb"] for r in runs]
+    _RESULTS.setdefault(n, {})[arm] = record
+    return record
+
+
+def _bench(benchmark, arm, n, repeats):
+    return benchmark.pedantic(
+        _run_arm, args=(arm, n, repeats), rounds=1, iterations=1
+    )
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_fig5a_contrarc(benchmark, n):
-    started = time.perf_counter()
-    result = benchmark.pedantic(_run_contrarc, args=(n,), rounds=1, iterations=1)
-    _record("contrarc", n, result, time.perf_counter() - started)
-    assert result.status is ExplorationStatus.OPTIMAL
+    assert _bench(benchmark, "contrarc", n, REPEATS)["status"] == "optimal"
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fig5a_monolithic(benchmark, n):
-    started = time.perf_counter()
-    result = benchmark.pedantic(_run_monolithic, args=(n,), rounds=1, iterations=1)
-    _record("monolithic", n, result, time.perf_counter() - started)
-    assert result.status is ExplorationStatus.OPTIMAL
+    assert _bench(benchmark, "monolithic", n, REPEATS)["status"] == "optimal"
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fig5a_lazy(benchmark, n):
-    started = time.perf_counter()
-    result = benchmark.pedantic(_run_lazy, args=(n,), rounds=1, iterations=1)
-    _record("lazy", n, result, time.perf_counter() - started)
-    assert result.status in (
-        ExplorationStatus.OPTIMAL,
-        ExplorationStatus.TIME_LIMIT,
-    )
+    record = _bench(benchmark, "lazy", n, 1)
+    assert record["status"] in ("optimal", "time_limit")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -99,12 +130,29 @@ def _module_report(results_dir):
 def _ratio(entries):
     """ContrArc wall-clock over monolithic wall-clock at one n, reported
     whichever way it goes (above 1 means the monolithic MILP is faster)."""
-    if "contrarc" not in entries or "monolithic" not in entries:
+    contrarc, mono = entries.get("contrarc"), entries.get("monolithic")
+    if not (contrarc and mono):
         return None
-    (contrarc, c_time), (mono, m_time) = entries["contrarc"], entries["monolithic"]
-    if not (contrarc.is_optimal and mono.is_optimal):
+    if not contrarc["status"] == mono["status"] == "optimal":
         return None
-    return round(c_time / m_time, 2)
+    return round(contrarc["wall_clock"] / mono["wall_clock"], 2)
+
+
+def _time(record):
+    """Median wall-clock, with the runs' range when there are several."""
+    if record is None:
+        return None
+    runs = record["wall_clock_runs"]
+    text = format_seconds(record["wall_clock"])
+    if len(runs) > 1:
+        text += f" ({format_seconds(runs[0])}-{format_seconds(runs[-1])})"
+    if record["status"] == "time_limit":
+        text += ">"
+    return text
+
+
+def _rss(record):
+    return None if record is None else max(record["peak_rss_mb_runs"])
 
 
 def _render_report(results_dir):
@@ -113,10 +161,13 @@ def _render_report(results_dir):
         "n (=n_A=n_B)",
         "ContrArc time",
         "ContrArc iters",
+        "ContrArc MiB",
         "ArchEx-mono time",
+        "mono MiB",
         "ContrArc/mono",
         "lazy time",
         "lazy iters",
+        "lazy MiB",
         "same cost",
     ]
     rows = []
@@ -124,29 +175,25 @@ def _render_report(results_dir):
         entries = _RESULTS.get(n, {})
         if "contrarc" not in entries:
             continue
-        contrarc, c_time = entries["contrarc"]
-        mono, m_time = entries.get("monolithic", (None, None))
-        lazy, l_time = entries.get("lazy", (None, None))
+        contrarc = entries["contrarc"]
+        mono = entries.get("monolithic")
+        lazy = entries.get("lazy")
         costs = {
-            round(r.cost, 6)
-            for r, _ in entries.values()
-            if r is not None and r.cost is not None
+            round(r["cost"], 6) for r in entries.values() if r["cost"] is not None
         }
-        timed_out = any(
-            r.status is ExplorationStatus.TIME_LIMIT
-            for r, _ in entries.values()
-            if r is not None
-        )
+        timed_out = any(r["status"] == "time_limit" for r in entries.values())
         rows.append(
             [
                 n,
-                format_seconds(c_time),
-                contrarc.stats.num_iterations,
-                format_seconds(m_time),
+                _time(contrarc),
+                contrarc["iterations"],
+                _rss(contrarc),
+                _time(mono),
+                _rss(mono),
                 _ratio(entries),
-                format_seconds(l_time)
-                + (">" if lazy and lazy.status is ExplorationStatus.TIME_LIMIT else ""),
-                lazy.stats.num_iterations if lazy else None,
+                _time(lazy),
+                lazy["iterations"] if lazy else None,
+                _rss(lazy),
                 "yes" if len(costs) == 1 else ("n/a (timeout)" if timed_out else "NO"),
             ]
         )
@@ -155,7 +202,13 @@ def _render_report(results_dir):
         if not timed_out:
             assert len(costs) == 1, f"cost mismatch at n={n}: {costs}"
     text = render_table(
-        headers, rows, title="Fig. 5(a) reproduction - RPL runtime vs size"
+        headers,
+        rows,
+        title=(
+            "Fig. 5(a) reproduction - RPL runtime vs size "
+            f"(median of {REPEATS} runs, range in brackets; "
+            "MiB = peak RSS of the arm's own process)"
+        ),
     )
     from repro.reporting.plots import render_series_plot
 
@@ -164,21 +217,21 @@ def _render_report(results_dir):
         entries = _RESULTS.get(n, {})
         for name in series:
             if name in entries:
-                result, elapsed = entries[name]
-                finished = result.status is ExplorationStatus.OPTIMAL
-                series[name].append((n, elapsed if finished else None))
+                record = entries[name]
+                finished = record["status"] == "optimal"
+                series[name].append((n, record["wall_clock"] if finished else None))
     plot = render_series_plot(
         series, title="Fig. 5(a): exploration runtime vs n (log scale)"
     )
-    data = {
-        str(n): {
-            name: exploration_record(result, elapsed)
-            for name, (result, elapsed) in entries.items()
-        }
-        for n, entries in _RESULTS.items()
-    }
+    data = {str(n): dict(entries) for n, entries in _RESULTS.items()}
     for n, entries in _RESULTS.items():
         ratio = _ratio(entries)
         if ratio is not None:
             data[str(n)]["contrarc_over_monolithic"] = ratio
-    report(results_dir, "fig5a_rpl.txt", text + "\n\n" + plot, data=data)
+    report(
+        results_dir,
+        "fig5a_rpl.txt",
+        text + "\n\n" + plot,
+        data=data,
+        repeats=REPEATS,
+    )

@@ -3,7 +3,7 @@
 Environment knobs (all optional):
 
 * ``REPRO_BENCH_RPL_MAX_N``   — largest RPL size for the Fig. 5 sweeps
-  (default 3; the paper sweeps to larger n on Gurobi).
+  (default 5 for Fig. 5(a), 3 for Fig. 5(b)).
 * ``REPRO_BENCH_EPN_FULL``    — set to 1 to run all ten Table II
   templates; default runs a representative six-row subset.
 * ``REPRO_BENCH_TIME_LIMIT``  — per-scenario wall-clock budget in
@@ -26,8 +26,8 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def rpl_max_n() -> int:
-    return int(os.environ.get("REPRO_BENCH_RPL_MAX_N", "3"))
+def rpl_max_n(default: int = 3) -> int:
+    return int(os.environ.get("REPRO_BENCH_RPL_MAX_N", default))
 
 
 def epn_templates():
@@ -48,17 +48,31 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def report(results_dir: pathlib.Path, name: str, text: str, data=None) -> None:
+def report(
+    results_dir: pathlib.Path, name: str, text: str, data=None, repeats: int = 1
+) -> None:
     """Print a rendered table and persist it under benchmarks/results/.
 
-    ``data`` (any JSON-serializable object) additionally lands in
+    ``data`` (a JSON-serializable dict) additionally lands in
     ``BENCH_<stem>.json`` next to the table — per-case wall-clock,
-    iteration counts and phase breakdowns, for machine consumption.
+    iteration counts and phase breakdowns, for machine consumption —
+    stamped under ``provenance`` with the host fingerprint, the git sha
+    of the checkout that ran it, and ``repeats``, the runs per case.
     """
+    from benchmarks.harness.run import git_sha, host_fingerprint
+
     print()
     print(text)
     (results_dir / name).write_text(text + "\n", encoding="utf-8")
     if data is not None:
+        data = dict(
+            data,
+            provenance={
+                "host": host_fingerprint(),
+                "git_sha": git_sha(),
+                "repeats": repeats,
+            },
+        )
         stem = pathlib.Path(name).stem
         (results_dir / f"BENCH_{stem}.json").write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -1,4 +1,4 @@
-"""Native branch-and-bound MILP solver over the dense simplex.
+"""Native branch-and-bound MILP solver over the dense-tableau simplex.
 
 Best-bound search with pseudo-cost (falling back to most-fractional)
 branching. Like the simplex it sits on, this backend favours clarity and
@@ -32,16 +32,45 @@ import heapq
 import itertools
 import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.solver.model import MatrixForm, Model
+from repro.expr.terms import Var
+from repro.solver.model import MatrixForm, Model, solve_empty
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.simplex import solve_lp
 
 _INT_TOL = 1e-6
 _FEAS_TOL = 1e-7
+
+
+class DenseForm(NamedTuple):
+    """A :class:`MatrixForm` with ``a_ub``/``a_eq`` as dense arrays, for
+    the dense-tableau simplex and presolve; :func:`solve_matrix` makes
+    one per solve."""
+
+    variables: List[Var]
+    objective: np.ndarray
+    objective_constant: float
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.variables)
+
+
+def densify(form: MatrixForm) -> DenseForm:
+    """``form`` with its CSR blocks expanded to dense arrays."""
+    fields = form._asdict()
+    fields.update(a_ub=form.a_ub.toarray(), a_eq=form.a_eq.toarray())
+    return DenseForm(**fields)
 
 
 class WarmStart:
@@ -90,7 +119,7 @@ class WarmStart:
 
 
 def _seed_incumbent(
-    form: MatrixForm, warm: WarmStart
+    form: DenseForm, warm: WarmStart
 ) -> Tuple[Optional[np.ndarray], float]:
     """Cheapest pool solution still feasible for the (grown) form.
 
@@ -116,7 +145,7 @@ def _seed_incumbent(
     return best_x, best_obj
 
 
-def _is_feasible(form: MatrixForm, x: np.ndarray) -> bool:
+def _is_feasible(form: DenseForm, x: np.ndarray) -> bool:
     """Validate a full point against bounds, integrality and all rows."""
     if np.any(x < form.lower - _FEAS_TOL) or np.any(x > form.upper + _FEAS_TOL):
         return False
@@ -162,7 +191,14 @@ def solve_matrix(
     warm: Optional[WarmStart] = None,
     deadline: Optional[float] = None,
 ) -> SolveResult:
-    """Solve a MILP given in matrix form. Minimization."""
+    """Solve a MILP given in matrix form. Minimization.
+
+    The form's CSR blocks are expanded to dense arrays once, here; the
+    rest of the native backend works on that :class:`DenseForm`.
+    """
+    if form.num_variables == 0:
+        return solve_empty(form)
+    form = densify(form)
     incumbent_x: Optional[np.ndarray] = None
     incumbent_obj = math.inf
     if warm is not None and warm.pool:
@@ -172,7 +208,7 @@ def solve_matrix(
         incumbent_x, incumbent_obj = _seed_incumbent(form, warm)
         if incumbent_x is None:
             incumbent_obj = math.inf
-    if use_presolve and form.num_variables:
+    if use_presolve:
         from repro.solver.presolve import PresolveStatus, presolve
 
         reduction = presolve(form)
@@ -180,13 +216,6 @@ def solve_matrix(
             return SolveResult(SolveStatus.INFEASIBLE, message="presolve")
         if reduction.form is not None:
             form = reduction.form
-    if form.num_variables == 0:
-        feasible = bool(np.all(form.b_ub >= -1e-9)) and bool(
-            np.all(np.abs(form.b_eq) <= 1e-9)
-        )
-        if feasible:
-            return SolveResult(SolveStatus.OPTIMAL, form.objective_constant, {})
-        return SolveResult(SolveStatus.INFEASIBLE)
     int_mask = form.integrality.astype(bool)
 
     prefer: Optional[np.ndarray] = None

@@ -9,13 +9,16 @@ scipy/HiGHS) consume models through :meth:`Model.to_matrix_form`.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+)
 
 import numpy as np
 
 from repro.exceptions import SolverError
 from repro.expr.constraints import Comparison, Sense
 from repro.expr.terms import Domain, LinExpr, Number, Var
+from repro.solver.result import SolveResult, SolveStatus
 
 
 class ConstraintSense(enum.Enum):
@@ -56,72 +59,72 @@ class LinearConstraint:
         return f"{label}{self.expr} {self.sense.value} {self.rhs:g}"
 
 
-class MatrixForm:
-    """Dense matrix view of a model: ``min c'x  s.t.  A_ub x <= b_ub,
+class CsrRows(NamedTuple):
+    """Constraint rows in compressed sparse row (CSR) layout: row ``i``
+    has the nonzeros ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, in ascending column order.
+    Indices are int32, as HiGHS takes them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    num_columns: int
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return len(self.indptr) - 1, self.num_columns
+
+    def stacked(self, below: CsrRows) -> CsrRows:
+        """These rows followed by ``below``'s, over ``below``'s columns
+        (columns appended after these rows are empty in them)."""
+        return CsrRows(
+            np.concatenate([self.indptr, below.indptr[1:] + self.indptr[-1]]),
+            np.concatenate([self.indices, below.indices]),
+            np.concatenate([self.data, below.data]),
+            below.num_columns,
+        )
+
+    def toarray(self) -> np.ndarray:
+        """The rows as a dense ``shape`` array."""
+        dense = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        dense[rows, self.indices] = self.data
+        return dense
+
+
+class MatrixForm(NamedTuple):
+    """Sparse matrix view of a model: ``min c'x  s.t.  A_ub x <= b_ub,
     A_eq x = b_eq, lb <= x <= ub``, with an integrality mask."""
 
-    __slots__ = (
-        "variables",
-        "objective",
-        "objective_constant",
-        "a_ub",
-        "b_ub",
-        "a_eq",
-        "b_eq",
-        "lower",
-        "upper",
-        "integrality",
-    )
-
-    def __init__(
-        self,
-        variables: Sequence[Var],
-        objective: np.ndarray,
-        objective_constant: float,
-        a_ub: np.ndarray,
-        b_ub: np.ndarray,
-        a_eq: np.ndarray,
-        b_eq: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        integrality: np.ndarray,
-    ) -> None:
-        self.variables = list(variables)
-        self.objective = objective
-        self.objective_constant = objective_constant
-        self.a_ub = a_ub
-        self.b_ub = b_ub
-        self.a_eq = a_eq
-        self.b_eq = b_eq
-        self.lower = lower
-        self.upper = upper
-        self.integrality = integrality
+    variables: List[Var]
+    objective: np.ndarray
+    objective_constant: float
+    a_ub: CsrRows
+    b_ub: np.ndarray
+    a_eq: CsrRows
+    b_eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
 
     @property
     def num_variables(self) -> int:
         return len(self.variables)
 
-    @property
-    def num_constraints(self) -> int:
-        return self.a_ub.shape[0] + self.a_eq.shape[0]
+
+def solve_empty(form: MatrixForm) -> SolveResult:
+    """Decide a variable-free model: every constraint row is 0 <= b / 0 = b."""
+    feasible = bool(np.all(form.b_ub >= -1e-9)) and bool(
+        np.all(np.abs(form.b_eq) <= 1e-9)
+    )
+    if feasible:
+        return SolveResult(SolveStatus.OPTIMAL, form.objective_constant, {})
+    return SolveResult(SolveStatus.INFEASIBLE)
 
 
 #: ``(revision, #variables, #constraints)`` of a :class:`Model`; see
 #: :meth:`Model.snapshot`.
 Snapshot = Tuple[int, int, int]
-
-
-class _MatrixCache:
-    """The last :meth:`Model.to_matrix_form` conversion and the
-    :meth:`Model.snapshot` it was built at, so a later call can convert
-    just the rows appended since (the exploration loop appends a few cut
-    rows per iteration to an otherwise unchanged model)."""
-
-    __slots__ = ("snapshot", "form")
-
-    def __init__(self, snapshot: Snapshot, form: MatrixForm) -> None:
-        self.snapshot = snapshot
-        self.form = form
 
 
 class Model:
@@ -143,7 +146,9 @@ class Model:
         #: content only; the counter decides what to re-render, never
         #: what goes into a key.
         self.revision: int = 0
-        self._matrix_cache: Optional[_MatrixCache] = None
+        #: The last :meth:`to_matrix_form` result and the snapshot it was
+        #: built at, so a later call converts only what was appended.
+        self._matrix_cache: Optional[Tuple[Snapshot, MatrixForm]] = None
 
     # -- variables ---------------------------------------------------------
 
@@ -302,140 +307,122 @@ class Model:
     # -- matrix form -------------------------------------------------------------
 
     def to_matrix_form(self) -> MatrixForm:
-        """Convert to dense matrices (minimization form).
+        """Convert to sparse matrices (minimization form).
 
         The conversion is cached on the model: when every mutation since
         the previous call was an append (new variables and/or new
         constraints — the cut-accumulation pattern of the exploration
-        loop), only the new rows are converted and the cached dense
-        blocks are reused. Any other mutation (objective change) falls
-        back to a full rebuild. Returned forms are fresh objects; their
+        loop), only the new rows are converted and stacked under the
+        cached blocks. Any other mutation (objective change) falls back
+        to a full rebuild. Returned forms are fresh objects; their
         arrays must be treated as read-only by backends.
         """
-        cache = self._matrix_cache
-        if cache is not None and cache.snapshot[0] == self.revision:
-            return cache.form
-        if cache is not None and self.appended_since(cache.snapshot):
-            form = self._extend_matrix_form(cache)
+        snapshot, form = self._matrix_cache or (None, None)
+        if snapshot is not None and snapshot[0] == self.revision:
+            return form
+        if self.appended_since(snapshot):
+            form = self._extend_matrix_form(form, snapshot)
         else:
             form = self._build_matrix_form()
-        self._matrix_cache = _MatrixCache(self.snapshot(), form)
+        self._matrix_cache = (self.snapshot(), form)
         return form
 
-    def _constraint_row(
-        self, constraint: LinearConstraint, n: int
-    ) -> Tuple[np.ndarray, float, bool]:
-        """One LE-or-EQ normalized dense row: (row, rhs, is_equality)."""
-        row = np.zeros(n)
-        for var, coef in constraint.expr.coeffs.items():
-            row[self._var_set[var]] = coef
-        rhs = constraint.rhs - constraint.expr.constant
-        if constraint.sense is ConstraintSense.GE:
-            return -row, -rhs, False
-        return row, rhs, constraint.sense is ConstraintSense.EQ
+    def _rows(
+        self, constraints: Sequence[LinearConstraint]
+    ) -> Tuple[CsrRows, np.ndarray, CsrRows, np.ndarray]:
+        """``(A_ub, b_ub, A_eq, b_eq)`` of ``constraints``, in order.
+
+        The one place a :class:`LinearConstraint` becomes a solver row:
+        GE rows are negated into LE rows, the expression's constant
+        moves to the right-hand side, and each row lists its
+        coefficients in ascending column order. :class:`LinExpr` never
+        stores a zero coefficient, so no row holds an explicit zero.
+        """
+        index = self._var_set
+        columns: List[int] = []
+        values: List[float] = []
+        sizes: List[int] = []
+        rhs: List[float] = []
+        signs: List[float] = []
+        equalities: List[bool] = []
+        for constraint in constraints:
+            coeffs = constraint.expr.coeffs
+            columns.extend(map(index.__getitem__, coeffs))
+            values.extend(coeffs.values())
+            sizes.append(len(coeffs))
+            rhs.append(constraint.rhs - constraint.expr.constant)
+            signs.append(-1.0 if constraint.sense is ConstraintSense.GE else 1.0)
+            equalities.append(constraint.sense is ConstraintSense.EQ)
+        m, n = len(sizes), len(self._variables)
+        sign = np.array(signs, dtype=float)
+        is_eq = np.array(equalities, dtype=bool)
+        row = np.repeat(np.arange(m), sizes)
+        data = np.array(values, dtype=float) * sign[row]
+        col = np.array(columns, dtype=np.int32)
+        # One sort puts the LE block's entries before the EQ block's,
+        # row by row, each row in column order (keys are unique: a
+        # coefficient map holds each variable once).
+        order = np.argsort((is_eq[row] * m + row) * n + col)
+        col, data = col[order], data[order]
+        block_order = np.argsort(is_eq, kind="stable")
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.array(sizes, dtype=np.int32)[block_order], out=indptr[1:])
+        b = (np.array(rhs, dtype=float) * sign)[block_order]
+        k = m - int(is_eq.sum())  # rows in the LE block
+        split = indptr[k]
+        return (
+            CsrRows(indptr[: k + 1], col[:split], data[:split], n),
+            b[:k],
+            CsrRows(indptr[k:] - split, col[split:], data[split:], n),
+            b[k:],
+        )
+
+    def _columns(
+        self, variables: Sequence[Var]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lower, upper, integrality)`` of ``variables``."""
+        lower = np.array([v.lb for v in variables], dtype=float)
+        upper = np.array([v.ub for v in variables], dtype=float)
+        integrality = np.array([v.is_integral for v in variables], dtype=int)
+        return lower, upper, integrality
 
     def _build_matrix_form(self) -> MatrixForm:
         """Full conversion from scratch."""
-        n = len(self._variables)
-        objective = np.zeros(n)
+        sign = 1.0 if self.minimize else -1.0
+        objective = np.zeros(len(self._variables))
         for var, coef in self.objective.coeffs.items():
-            objective[self._var_set[var]] = coef
-        objective_constant = self.objective.constant
-        if not self.minimize:
-            objective = -objective
-            objective_constant = -objective_constant
-
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for constraint in self.constraints:
-            row, rhs, is_eq = self._constraint_row(constraint, n)
-            if is_eq:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-            else:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-
-        a_ub = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-        a_eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, n))
-        lower = np.array([v.lb for v in self._variables])
-        upper = np.array([v.ub for v in self._variables])
-        integrality = np.array(
-            [1 if v.is_integral else 0 for v in self._variables], dtype=int
-        )
+            objective[self._var_set[var]] = sign * coef
         return MatrixForm(
-            self._variables,
+            list(self._variables),
             objective,
-            objective_constant,
-            a_ub,
-            np.array(ub_rhs),
-            a_eq,
-            np.array(eq_rhs),
-            lower,
-            upper,
-            integrality,
+            sign * self.objective.constant,
+            *self._rows(self.constraints),
+            *self._columns(self._variables),
         )
 
-    def _extend_matrix_form(self, cache: _MatrixCache) -> MatrixForm:
-        """Append-only fast path: pad columns, convert only new rows."""
-        old = cache.form
-        _, num_variables, num_constraints = cache.snapshot
-        n = len(self._variables)
-        new_vars = n - num_variables
-        if new_vars:
-            # Appended variables carry zero coefficients in every cached
-            # row and in the (unchanged) objective.
-            pad_ub = np.zeros((old.a_ub.shape[0], new_vars))
-            pad_eq = np.zeros((old.a_eq.shape[0], new_vars))
-            a_ub = np.hstack([old.a_ub, pad_ub])
-            a_eq = np.hstack([old.a_eq, pad_eq])
-            objective = np.concatenate([old.objective, np.zeros(new_vars)])
-            added = self._variables[num_variables:]
-            lower = np.concatenate([old.lower, [v.lb for v in added]])
-            upper = np.concatenate([old.upper, [v.ub for v in added]])
-            integrality = np.concatenate(
-                [old.integrality, [1 if v.is_integral else 0 for v in added]]
-            ).astype(int)
-        else:
-            a_ub, a_eq = old.a_ub, old.a_eq
-            objective = old.objective
-            lower, upper, integrality = old.lower, old.upper, old.integrality
+    def _extend_matrix_form(
+        self, old: MatrixForm, snapshot: Snapshot
+    ) -> MatrixForm:
+        """Append-only fast path: convert only the new rows and columns.
 
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for constraint in self.constraints[num_constraints:]:
-            row, rhs, is_eq = self._constraint_row(constraint, n)
-            if is_eq:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-            else:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-        if ub_rows:
-            a_ub = np.vstack([a_ub] + ub_rows)
-            b_ub = np.concatenate([old.b_ub, ub_rhs])
-        else:
-            b_ub = old.b_ub
-        if eq_rows:
-            a_eq = np.vstack([a_eq] + eq_rows)
-            b_eq = np.concatenate([old.b_eq, eq_rhs])
-        else:
-            b_eq = old.b_eq
+        Appended variables carry zero coefficients in every cached row
+        and in the (unchanged) objective, so the cached blocks only
+        widen; the new rows are stacked under them.
+        """
+        _, num_variables, num_constraints = snapshot
+        a_ub, b_ub, a_eq, b_eq = self._rows(self.constraints[num_constraints:])
+        lower, upper, integrality = self._columns(self._variables[num_variables:])
         return MatrixForm(
-            self._variables,
-            objective,
+            list(self._variables),
+            np.concatenate([old.objective, np.zeros(len(lower))]),
             old.objective_constant,
-            a_ub,
-            b_ub,
-            a_eq,
-            b_eq,
-            lower,
-            upper,
-            integrality,
+            old.a_ub.stacked(a_ub),
+            np.concatenate([old.b_ub, b_ub]),
+            old.a_eq.stacked(a_eq),
+            np.concatenate([old.b_eq, b_eq]),
+            np.concatenate([old.lower, lower]),
+            np.concatenate([old.upper, upper]),
+            np.concatenate([old.integrality, integrality]),
         )
 
     def __repr__(self) -> str:

@@ -12,7 +12,8 @@ branch and bound:
   right-hand side, or variables whose bounds cross, prove infeasibility
   without any search.
 
-Operates on :class:`repro.solver.model.MatrixForm` in place-free style:
+Operates on the native backend's dense copy of a model,
+:class:`repro.solver.branch_bound.DenseForm`, in place-free style:
 returns a new form plus a status. Column space is preserved (fixed
 variables simply get collapsed bounds), so solutions need no remapping.
 """
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.solver.model import MatrixForm
+if TYPE_CHECKING:
+    from repro.solver.branch_bound import DenseForm
 
 _TOL = 1e-9
 
@@ -46,7 +48,7 @@ class PresolveResult:
     def __init__(
         self,
         status: PresolveStatus,
-        form: Optional[MatrixForm],
+        form: Optional[DenseForm],
         rounds: int = 0,
         rows_removed: int = 0,
         bounds_tightened: int = 0,
@@ -116,7 +118,7 @@ def _tighten_from_row(
     return tightened, True
 
 
-def presolve(form: MatrixForm, max_rounds: int = 10) -> PresolveResult:
+def presolve(form: DenseForm, max_rounds: int = 10) -> PresolveResult:
     """Apply bound tightening and row elimination to a matrix form."""
     lower = form.lower.copy()
     upper = form.upper.copy()
@@ -174,18 +176,7 @@ def presolve(form: MatrixForm, max_rounds: int = 10) -> PresolveResult:
         if (total_tightened or rows_removed)
         else PresolveStatus.UNCHANGED
     )
-    reduced = MatrixForm(
-        form.variables,
-        form.objective,
-        form.objective_constant,
-        a_ub,
-        b_ub,
-        form.a_eq,
-        form.b_eq,
-        lower,
-        upper,
-        form.integrality,
-    )
+    reduced = form._replace(a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper)
     return PresolveResult(
         status, reduced, rounds, rows_removed, total_tightened
     )

@@ -30,8 +30,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
-from repro.solver.model import MatrixForm, Model
+from repro.solver.model import CsrRows, MatrixForm, Model, solve_empty
 from repro.solver.result import SolveResult, SolveStatus
 
 try:  # scipy >= 1.15 vendors the full highspy binding
@@ -63,27 +64,30 @@ _HIGHS_STATUS = {
 _Run = Tuple[SolveStatus, Optional[Sequence[float]], str]
 
 
+def _stacked_rows(form: MatrixForm) -> Tuple[CsrRows, np.ndarray, np.ndarray]:
+    """Every row of ``form``, ``A_ub`` then ``A_eq``, with its bounds."""
+    lower = np.concatenate([np.full(form.a_ub.shape[0], -np.inf), form.b_eq])
+    upper = np.concatenate([form.b_ub, form.b_eq])
+    return form.a_ub.stacked(form.a_eq), lower, upper
+
+
 def highs_lp(form: MatrixForm):
     """The HiGHS model of ``form``: ``A_ub`` rows first, then ``A_eq``.
 
-    The constraint matrix goes in row-wise from one CSR conversion
-    (``np.nonzero`` walks the dense rows in order); HiGHS stores it
+    The CSR arrays go in row-wise as they are; HiGHS stores the matrix
     column-wise either way.
     """
     core = _highs_core
     n = form.num_variables
-    n_ub = form.a_ub.shape[0]
-    a = np.vstack([form.a_ub, form.a_eq])
-    m = a.shape[0]
-    row, col = np.nonzero(a)
+    a, row_lower, row_upper = _stacked_rows(form)
     lp = core.HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = np.asarray(form.objective, dtype=float)
-    lp.col_lower_ = np.asarray(form.lower, dtype=float)
-    lp.col_upper_ = np.asarray(form.upper, dtype=float)
-    lp.row_lower_ = np.concatenate([np.full(n_ub, -core.kHighsInf), form.b_eq])
-    lp.row_upper_ = np.concatenate([form.b_ub, form.b_eq])
+    lp.num_row_ = a.shape[0]
+    lp.col_cost_ = form.objective
+    lp.col_lower_ = form.lower
+    lp.col_upper_ = form.upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
     lp.integrality_ = [
         core.HighsVarType.kInteger if flag else core.HighsVarType.kContinuous
         for flag in form.integrality
@@ -91,17 +95,17 @@ def highs_lp(form: MatrixForm):
     matrix = lp.a_matrix_
     matrix.format_ = core.MatrixFormat.kRowwise
     matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = np.searchsorted(row, np.arange(m + 1)).astype(np.int32)
-    matrix.index_ = col.astype(np.int32)
-    matrix.value_ = a[row, col].astype(float)
+    matrix.num_row_ = a.shape[0]
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
     return lp
 
 
 def solve_matrix(form: MatrixForm, time_limit: Optional[float] = None) -> SolveResult:
     """Solve a MILP in matrix form with HiGHS. Minimization."""
     if form.num_variables == 0:
-        return _solve_empty(form)
+        return solve_empty(form)
     run = _run_highs if _highs_core is not None else _run_milp
     status, x, message = run(form, time_limit, True)
     if status is SolveStatus.ERROR:
@@ -145,11 +149,11 @@ def _run_highs(form: MatrixForm, time_limit: Optional[float], presolve: bool) ->
 
 def _run_milp(form: MatrixForm, time_limit: Optional[float], presolve: bool) -> _Run:
     """One run of :func:`scipy.optimize.milp` on ``form``."""
-    constraints = []
-    if form.a_ub.shape[0]:
-        constraints.append(LinearConstraint(form.a_ub, -np.inf, form.b_ub))
-    if form.a_eq.shape[0]:
-        constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
+    a, lower, upper = _stacked_rows(form)
+    constraints = None
+    if a.shape[0]:
+        matrix = csr_array((a.data, a.indices, a.indptr), shape=a.shape)
+        constraints = LinearConstraint(matrix, lower, upper)
     options = {}
     if time_limit is not None:
         options["time_limit"] = time_limit
@@ -157,23 +161,13 @@ def _run_milp(form: MatrixForm, time_limit: Optional[float], presolve: bool) -> 
         options["presolve"] = False
     result = milp(
         c=form.objective,
-        constraints=constraints or None,
+        constraints=constraints,
         integrality=form.integrality,
         bounds=Bounds(form.lower, form.upper),
         options=options or None,
     )
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
     return status, result.x, getattr(result, "message", "")
-
-
-def _solve_empty(form: MatrixForm) -> SolveResult:
-    """Decide a variable-free model: every constraint row is 0 <= b / 0 = b."""
-    feasible = bool(np.all(form.b_ub >= -1e-9)) and bool(
-        np.all(np.abs(form.b_eq) <= 1e-9)
-    )
-    if feasible:
-        return SolveResult(SolveStatus.OPTIMAL, form.objective_constant, {})
-    return SolveResult(SolveStatus.INFEASIBLE)
 
 
 def solve(model: Model, time_limit: Optional[float] = None) -> SolveResult:

@@ -6,9 +6,9 @@ last candidate violated, or, once a candidate violates a pooled cut,
 the whole lazy cut pool at once (:mod:`repro.explore.cut_pool`). Either
 way rows are only appended, never removed.
 A stateless backend pays the full model-construction cost every time:
-:func:`repro.solver.scipy_backend.solve_matrix` converts the whole
-dense matrix form into a fresh HiGHS instance, and the native
-branch-and-bound restarts its search from nothing.
+:func:`repro.solver.scipy_backend.solve_matrix` loads the whole matrix
+form into a fresh HiGHS instance, and the native branch-and-bound
+restarts its search from nothing.
 
 :class:`IncrementalSession` keeps per-model solver state alive across
 those solves:
@@ -17,9 +17,9 @@ those solves:
   (``scipy.optimize._highspy``) receives the model once via
   ``passModel`` (built by :func:`repro.solver.scipy_backend.highs_lp`,
   the backend's one form-to-HiGHS builder) and afterwards only
-  ``addCol``/``addRow`` calls for the appended cut variables/rows (built
-  sparsely, straight from the constraint coefficient maps — the dense
-  matrix form is never materialized again). Along an append-only chain
+  ``addVars``/``addRows`` calls for the appended cut variables/rows,
+  read from the CSR blocks that ``Model.to_matrix_form`` extends
+  append-only. Along an append-only chain
   the optimum is monotone non-decreasing (rows only shrink the feasible
   set and appended columns carry zero objective), so the previous
   optimal value is replayed as HiGHS's ``objective_target``:
@@ -34,9 +34,9 @@ those solves:
   takes 19 iterations and 7,776 cuts instead of 18 and 7,290.
 * **native backend** — a :class:`repro.solver.branch_bound.WarmStart`
   carries the incumbent pool, pseudo-costs and root LP basis between
-  iterations. (The native simplex is a dense-tableau solver, so this
-  path still converts via ``Model.to_matrix_form`` — itself cached
-  append-only.)
+  iterations. It reads the same append-only ``Model.to_matrix_form``;
+  :func:`repro.solver.branch_bound.solve_matrix` expands it for its
+  dense-tableau simplex.
 
 Sessions affect *how fast* a solve finishes, never its result: the
 regression suite pins incremental-vs-scratch equality, and cache keys
@@ -53,7 +53,7 @@ import numpy as np
 from repro.exceptions import SolverError
 from repro.obs.trace import Tracer
 from repro.solver import branch_bound, scipy_backend
-from repro.solver.model import ConstraintSense, Model, Snapshot
+from repro.solver.model import CsrRows, MatrixForm, Model, Snapshot
 from repro.solver.result import SolveResult, SolveStatus
 
 
@@ -182,7 +182,7 @@ class _NativeSession(_BackendSession):
         self._form = None
 
     def sync(self, model: Model) -> None:
-        # Dense conversion; Model caches it and extends append-only.
+        # Model caches the form and extends it append-only.
         self.last_was_append = self._started
         self._started = True
         self._form = model.to_matrix_form()
@@ -194,12 +194,12 @@ class _NativeSession(_BackendSession):
 
 
 class _HighsSession(_BackendSession):
-    """One long-lived HiGHS instance fed by passModel + addCol/addRow.
+    """One long-lived HiGHS instance fed by passModel + addVars/addRows.
 
-    After the initial ``passModel``, appended cut rows are translated
-    straight from each :class:`LinearConstraint`'s coefficient map into
-    sparse ``addRow`` calls — cost proportional to the new rows'
-    nonzeros, independent of model size.
+    After the initial ``passModel``, the rows appended to the model's
+    matrix form go in as one ``addRows`` call per CSR block — HiGHS's
+    work is proportional to the new rows' nonzeros, independent of
+    model size.
 
     A MIP start is deliberately *not* replayed: in the exploration loop
     the appended cuts exclude the previous optimum by construction, and
@@ -224,10 +224,10 @@ class _HighsSession(_BackendSession):
         #: The model's :meth:`~repro.solver.model.Model.snapshot` at the
         #: last sync; None before the first.
         self._snapshot: Optional[Snapshot] = None
-        #: Minimize-normalized objective vector mirrored locally (HiGHS
-        #: owns the authoritative copy; this one prices solutions).
-        self._cost: Optional[np.ndarray] = None
-        self._objective_constant = 0.0
+        #: The model's matrix form at the last sync: the rows HiGHS
+        #: holds, and the minimize-normalized objective that prices
+        #: solutions.
+        self._form: Optional[MatrixForm] = None
         #: Minimize-normalized optimum of the previous solve along the
         #: current append-only chain; None right after a full rebuild.
         self._prev_obj: Optional[float] = None
@@ -235,63 +235,59 @@ class _HighsSession(_BackendSession):
     # -- sync ---------------------------------------------------------------
 
     def sync(self, model: Model) -> None:
-        if model.appended_since(self._snapshot):
-            self._append(model)
-            self.last_was_append = True
-        else:
-            self._pass_full(model)
-            self.last_was_append = False
-        self._snapshot = model.snapshot()
-
-    def _pass_full(self, model: Model) -> None:
-        core = scipy_backend._highs_core
         form = model.to_matrix_form()
-        self._h.passModel(scipy_backend.highs_lp(form))
-        self._cost = np.asarray(form.objective, dtype=float).copy()
-        self._objective_constant = form.objective_constant
-        # Monotonicity only holds along an append chain; a rebuild may
-        # have relaxed anything.
-        self._prev_obj = None
-        self._h.setOptionValue("objective_target", -core.kHighsInf)
+        self.last_was_append = model.appended_since(self._snapshot)
+        if self.last_was_append:
+            self._append(form)
+        else:
+            self._h.passModel(scipy_backend.highs_lp(form))
+            # Monotonicity only holds along an append chain; a rebuild
+            # may have relaxed anything.
+            self._prev_obj = None
+            self._h.setOptionValue(
+                "objective_target", -scipy_backend._highs_core.kHighsInf
+            )
+        self._snapshot = model.snapshot()
+        self._form = form
 
-    def _append(self, model: Model) -> None:
-        """Push appended variables and constraints, sparsely.
+    def _append(self, form: MatrixForm) -> None:
+        """Push the variables and rows appended since the last sync.
 
         Under the append-only invariant the objective is untouched, so
         every new column has cost zero; its constraint coefficients
-        arrive with the new rows below.
+        arrive with the new rows. The rows come from ``form``'s CSR
+        blocks, one ``addRows`` call per block.
         """
         core = scipy_backend._highs_core
-        h = self._h
-        _, num_vars, num_cons = self._snapshot
-        added_vars = model.variables[num_vars:]
-        if added_vars:
-            empty_idx = np.zeros(0, dtype=np.int32)
-            empty_val = np.zeros(0, dtype=float)
-            for offset, var in enumerate(added_vars):
-                h.addCol(0.0, float(var.lb), float(var.ub), 0, empty_idx, empty_val)
-                if var.is_integral:
-                    h.changeColIntegrality(
-                        num_vars + offset, core.HighsVarType.kInteger
-                    )
-            self._cost = np.concatenate([self._cost, np.zeros(len(added_vars))])
-        index_of = model.index_of
-        for constraint in model.constraints[num_cons:]:
-            coeffs = constraint.expr.coeffs
-            idx = np.fromiter(
-                (index_of(var) for var in coeffs), dtype=np.int32, count=len(coeffs)
+        num_vars = self._snapshot[1]
+        added = form.num_variables - num_vars
+        if added:
+            self._h.addVars(added, form.lower[num_vars:], form.upper[num_vars:])
+            self._h.changeColsIntegrality(
+                added,
+                np.arange(num_vars, form.num_variables, dtype=np.int32),
+                form.integrality[num_vars:].astype(np.uint8),
             )
-            val = np.fromiter(
-                (float(c) for c in coeffs.values()), dtype=float, count=len(coeffs)
+        num_ub, num_eq = self._form.a_ub.shape[0], self._form.a_eq.shape[0]
+        ub_lower = np.full(form.a_ub.shape[0] - num_ub, -core.kHighsInf)
+        self._add_rows(form.a_ub, num_ub, ub_lower, form.b_ub[num_ub:])
+        self._add_rows(form.a_eq, num_eq, form.b_eq[num_eq:], form.b_eq[num_eq:])
+
+    def _add_rows(
+        self, rows: CsrRows, start: int, lower: np.ndarray, upper: np.ndarray
+    ) -> None:
+        """Send ``rows`` from row ``start`` on, bounded by ``lower``/``upper``."""
+        if rows.shape[0] > start:
+            first = rows.indptr[start]
+            self._h.addRows(
+                rows.shape[0] - start,
+                lower,
+                upper,
+                rows.indptr[-1] - first,
+                rows.indptr[start:-1] - first,
+                rows.indices[first:],
+                rows.data[first:],
             )
-            rhs = constraint.rhs - constraint.expr.constant
-            if constraint.sense is ConstraintSense.LE:
-                lo, hi = -core.kHighsInf, rhs
-            elif constraint.sense is ConstraintSense.GE:
-                lo, hi = rhs, core.kHighsInf
-            else:
-                lo, hi = rhs, rhs
-            h.addRow(lo, hi, len(idx), idx, val)
 
     # -- solve ----------------------------------------------------------------
 
@@ -301,7 +297,7 @@ class _HighsSession(_BackendSession):
         if self._prev_obj is not None:
             self._h.setOptionValue(
                 "objective_target",
-                self._prev_obj - self._objective_constant + self._TARGET_TOL,
+                self._prev_obj - self._form.objective_constant + self._TARGET_TOL,
             )
         self._h.run()
         return self._extract(model)
@@ -320,7 +316,7 @@ class _HighsSession(_BackendSession):
                 if var.is_integral:
                     x[i] = round(x[i])
             assignment = {var: float(x[i]) for i, var in enumerate(variables)}
-            objective = float(self._cost @ x) + self._objective_constant
+            objective = float(self._form.objective @ x) + self._form.objective_constant
             if status == ms.kOptimal:
                 self._prev_obj = objective
             # On a target exit keep the previously *proven* bound: the

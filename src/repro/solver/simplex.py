@@ -8,9 +8,10 @@ scipy/HiGHS backend; this solver exists so the whole pipeline can run
 without any external optimizer, mirroring how the paper's pipeline would
 look without Gurobi.
 
-The entry point is :func:`solve_lp`, which takes the same matrix data as
-:class:`repro.solver.model.MatrixForm` (minimization, ``A_ub x <= b_ub``,
-``A_eq x = b_eq``, box bounds) and returns a status/solution pair.
+The entry point is :func:`solve_lp`, which takes the matrix data of a
+:class:`repro.solver.branch_bound.DenseForm` (minimization,
+``A_ub x <= b_ub``, ``A_eq x = b_eq``, box bounds) and returns a
+status/solution pair.
 """
 
 from __future__ import annotations

@@ -8,6 +8,16 @@ from repro.expr.terms import binary, continuous, integer
 from repro.solver.model import ConstraintSense, LinearConstraint, Model
 
 
+def _candidate_milp(case: str) -> Model:
+    """Problem 2's candidate MILP of a small RPL or EPN instance."""
+    from repro.casestudies import epn, rpl
+    from repro.explore.encoding import build_candidate_milp
+
+    if case == "rpl-1-1":
+        return build_candidate_milp(*rpl.build_problem(1, 1))
+    return build_candidate_milp(*epn.build_problem(1, 1, 0))
+
+
 @pytest.fixture
 def xy():
     return continuous("x", 0, 10), continuous("y", 0, 10)
@@ -132,11 +142,77 @@ class TestMatrixForm:
         form = m.to_matrix_form()
         assert form.a_ub.shape == (2, 2)
         assert form.a_eq.shape == (1, 2)
-        np.testing.assert_allclose(form.a_ub[0], [2, 1])
-        np.testing.assert_allclose(form.a_ub[1], [-1, 0])
+        assert list(form.a_ub.indptr) == [0, 2, 3]
+        assert list(form.a_ub.indices) == [0, 1, 0]
+        np.testing.assert_allclose(form.a_ub.data, [2, 1, -1])
+        np.testing.assert_allclose(form.a_ub.toarray(), [[2, 1], [-1, 0]])
+        np.testing.assert_allclose(form.a_eq.toarray(), [[1, 1]])
         np.testing.assert_allclose(form.b_ub, [8, -1])
         np.testing.assert_allclose(form.objective, [1, 3])
-        assert form.num_constraints == 3
+
+    @pytest.mark.parametrize("case", ["rpl-1-1", "epn-1-1-0"])
+    def test_rows_match_per_row_reference(self, case):
+        """The CSR blocks of a candidate MILP equal a row-at-a-time
+        conversion: GE rows negated, indices sorted, no explicit zeros."""
+        model = _candidate_milp(case)
+        form = model.to_matrix_form()
+        expected = {"ub": ([], []), "eq": ([], [])}
+        for constraint in model.constraints:
+            sign = -1.0 if constraint.sense is ConstraintSense.GE else 1.0
+            row = sorted(
+                (model.index_of(var), sign * float(coef))
+                for var, coef in constraint.expr.coeffs.items()
+                if coef != 0
+            )
+            block = "eq" if constraint.sense is ConstraintSense.EQ else "ub"
+            expected[block][0].append(row)
+            expected[block][1].append(
+                sign * (constraint.rhs - constraint.expr.constant)
+            )
+        for block, a, b in (
+            ("ub", form.a_ub, form.b_ub),
+            ("eq", form.a_eq, form.b_eq),
+        ):
+            rows, rhs = expected[block]
+            assert a.shape == (len(rows), model.num_variables)
+            got = [
+                list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
+                for lo, hi in zip(a.indptr[:-1], a.indptr[1:])
+            ]
+            assert got == rows
+            assert b.tolist() == rhs
+            assert a.indptr.dtype == a.indices.dtype == np.int32
+        assert form.a_ub.shape[0] and form.a_eq.shape[0]
+
+    def test_extended_form_equals_fresh_build(self, xy):
+        """Appends of rows of every sense and of new variables extend the
+        cached form to exactly what a fresh conversion builds."""
+        x, y = xy
+        m = Model()
+        m.add_le(2 * x + y, 8)
+        m.set_objective(x + 3 * y)
+        m.to_matrix_form()
+        b = m.new_binary("b")
+        m.add_ge(x - 4 * b, -1)
+        m.add_eq(y + b, 1)
+        m.to_matrix_form()
+        i = integer("i", 0, 3)
+        m.add_le(i - 0 * x + y, 5)
+        m.add_variable(continuous("c", 0, 1))
+        extended = m.to_matrix_form()
+        fresh = m.copy().to_matrix_form()
+        assert extended is not fresh
+        assert extended.variables == fresh.variables
+        for field in ("objective", "b_ub", "b_eq", "lower", "upper", "integrality"):
+            np.testing.assert_array_equal(
+                getattr(extended, field), getattr(fresh, field)
+            )
+        for block in ("a_ub", "a_eq"):
+            got, want = getattr(extended, block), getattr(fresh, block)
+            assert got.shape == want.shape
+            assert want.shape[1] == 5
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
     def test_constant_in_expr_moves_to_rhs(self, xy):
         x, _ = xy

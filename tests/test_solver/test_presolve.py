@@ -11,7 +11,8 @@ from repro.solver.result import SolveStatus
 
 
 def _form(model):
-    return model.to_matrix_form()
+    """The native backend's dense copy of ``model``, as presolve gets it."""
+    return branch_bound.densify(model.to_matrix_form())
 
 
 class TestBoundTightening:

@@ -106,7 +106,7 @@ def _feasibility_query() -> Model:
     scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
 )
 class TestHighsLp:
-    def test_rows_match_dense_form(self):
+    def test_rows_match_matrix_form(self):
         m = _small_milp()
         x, y = m.variables
         m.add_eq(3 * y, 6)
@@ -118,8 +118,10 @@ class TestHighsLp:
         for i in range(lp.num_row_):
             for k in range(matrix.start_[i], matrix.start_[i + 1]):
                 rebuilt[i, matrix.index_[k]] = matrix.value_[k]
-        assert np.array_equal(rebuilt, np.vstack([form.a_ub, form.a_eq]))
+        expected = np.concatenate([form.a_ub.toarray(), form.a_eq.toarray()])
+        assert np.array_equal(rebuilt, expected)
         assert len(matrix.value_) == np.count_nonzero(rebuilt)
+        assert list(matrix.start_) == [0, 2, 4, 5, 6]
         n_ub = form.a_ub.shape[0]
         assert np.all(np.isneginf(lp.row_lower_[:n_ub]))
         assert list(lp.row_upper_[:n_ub]) == list(form.b_ub)

@@ -37,6 +37,26 @@ def _grow(model: Model, step: int) -> None:
     model.add_le(sum((v for v in x[: 3 + (step % 2)]), start=0 * x[0]), 2.0)
 
 
+def _grow_ge(model: Model, step: int) -> None:
+    """:func:`_grow`'s cut as a GE row: ``-sum(x) >= -2``."""
+    x = model.variables
+    model.add_ge(-sum((v for v in x[: 3 + (step % 2)]), start=0 * x[0]), -2.0)
+
+
+def _grow_eq(model: Model, step: int) -> None:
+    """Fix one item out of the knapsack with an EQ row."""
+    model.add_eq(model.variables[step].to_expr(), 0.0)
+
+
+def _grow_new_variable(model: Model, step: int) -> None:
+    """Append a new binary tied to an item by an EQ row, in the same
+    batch as :func:`_grow`'s LE cut."""
+    x = model.variables
+    selector = model.new_binary(f"s{step}")
+    model.add_eq(selector - x[step], 0.0)
+    _grow(model, step)
+
+
 def _fingerprint(result):
     assignment = {var.name: value for var, value in result.assignment.items()}
     return result.status, result.objective, assignment
@@ -59,9 +79,22 @@ def backend(request, monkeypatch):
     return route
 
 
-@pytest.mark.parametrize("backend", ROUTES, indirect=True)
+#: ``(route, growth)`` inputs of :class:`TestSessionEquality`: every
+#: route under LE cuts, then under GE, EQ and new-variable appends.
+EQUALITY_CASES = [pytest.param(route, _grow, id=route) for route in ROUTES] + [
+    pytest.param(route, grow, id=f"{route}-{name}")
+    for name, grow in (
+        ("ge", _grow_ge),
+        ("eq", _grow_eq),
+        ("new-variable", _grow_new_variable),
+    )
+    for route in ROUTES
+]
+
+
+@pytest.mark.parametrize("backend, grow", EQUALITY_CASES, indirect=["backend"])
 class TestSessionEquality:
-    def test_matches_stateless_solve_across_appends(self, backend):
+    def test_matches_stateless_solve_across_appends(self, backend, grow):
         model = _knapsack_model()
         session = IncrementalSession(model, backend=backend)
         stateless = get_backend(backend)
@@ -70,14 +103,14 @@ class TestSessionEquality:
             scratch = stateless(model)
             assert incremental.status is SolveStatus.OPTIMAL
             assert _fingerprint(incremental) == _fingerprint(scratch)
-            _grow(model, step)
+            grow(model, step)
 
-    def test_append_path_taken(self, backend):
+    def test_append_path_taken(self, backend, grow):
         model = _knapsack_model()
         session = IncrementalSession(model, backend=backend)
         session.solve()
         for step in range(3):
-            _grow(model, step)
+            grow(model, step)
             session.solve()
         if session._impl is None:
             # The milp fallback rebuilds on every solve.
@@ -86,13 +119,17 @@ class TestSessionEquality:
             assert session.appends == 3
             assert session.rebuilds <= 1  # only the initial load
 
-    def test_model_key_unchanged_by_session_reuse(self, backend):
+    def test_model_key_unchanged_by_session_reuse(self, backend, grow):
         model = _knapsack_model()
         before = model_key(model, backend=backend)
         session = IncrementalSession(model, backend=backend)
         session.solve()
         session.solve()
         assert model_key(model, backend=backend) == before
+        grow(model, 0)
+        grown = model_key(model, backend=backend)
+        session.solve()
+        assert model_key(model, backend=backend) == grown
 
 
 class TestSessionAsSolver:
