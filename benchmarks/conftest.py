@@ -20,10 +20,12 @@ PRs.
 import json
 import os
 import pathlib
+import subprocess
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+ROOT = RESULTS_DIR.parent.parent
 
 
 def rpl_max_n(default: int = 3) -> int:
@@ -48,6 +50,29 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
+def git_dirty():
+    """Whether the checkout differs from its commit outside the results.
+
+    True when ``git status --porcelain`` lists a change (untracked
+    files included) anywhere but ``benchmarks/results/``, where the
+    twins themselves land; None without a ``.git`` or a working git.
+    """
+    if not (ROOT / ".git").exists():
+        return None
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--", ".",
+             ":(exclude)benchmarks/results"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return bool(out.stdout.strip()) if out.returncode == 0 else None
+
+
 def report(
     results_dir: pathlib.Path, name: str, text: str, data=None, repeats: int = 1
 ) -> None:
@@ -57,7 +82,8 @@ def report(
     ``BENCH_<stem>.json`` next to the table — per-case wall-clock,
     iteration counts and phase breakdowns, for machine consumption —
     stamped under ``provenance`` with the host fingerprint, the git sha
-    of the checkout that ran it, and ``repeats``, the runs per case.
+    of the checkout that ran it, whether that checkout had uncommitted
+    changes (``dirty``), and ``repeats``, the runs per case.
     """
     from benchmarks.harness.run import git_sha, host_fingerprint
 
@@ -70,6 +96,7 @@ def report(
             provenance={
                 "host": host_fingerprint(),
                 "git_sha": git_sha(),
+                "dirty": git_dirty(),
                 "repeats": repeats,
             },
         )

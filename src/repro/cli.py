@@ -204,7 +204,7 @@ def _add_submit_flags(
         "--wait",
         action="store_true",
         default=default(False),
-        help="poll until the job is terminal",
+        help="wait until the job is terminal, then print its result",
     )
     parser.add_argument(
         "--stream",
@@ -530,16 +530,16 @@ def _cmd_submit(args) -> int:
                     if not args.json:
                         print(json.dumps(event, sort_keys=True))
             except OSError as error:
-                # A dropped stream is not a failed job: fall back to
-                # polling for the terminal record.
+                # A dropped stream is not a failed job: re-attach and
+                # wait for the terminal record.
                 print(
-                    f"warning: stream interrupted ({error}); polling",
+                    f"warning: stream interrupted ({error}); waiting",
                     file=sys.stderr,
                 )
                 record = None
             if record is None:
                 # Stream ended without a terminal record (e.g. the job
-                # was already terminal before we attached) — poll it.
+                # was already terminal before we attached) — fetch it.
                 record = client.wait(spec.job_id, timeout=args.poll_timeout)
         else:
             record = client.wait(spec.job_id, timeout=args.poll_timeout)

@@ -9,13 +9,13 @@ a JSON body surface as :class:`ServeError` carrying the HTTP status.
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.runtime.job import JobSpec
-from repro.serve.queue import TERMINAL_STATES
 
 
 class ServeError(Exception):
@@ -25,6 +25,25 @@ class ServeError(Exception):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
         self.message = message
+
+    @classmethod
+    def from_http(cls, error: urllib.error.HTTPError) -> "ServeError":
+        try:
+            body = json.loads(error.read().decode("utf-8"))
+            message = body.get("error", error.reason)
+        except (ValueError, UnicodeDecodeError):
+            message = str(error.reason)
+        return cls(error.code, message)
+
+
+def _sse_records(response) -> Iterator[Optional[Dict[str, Any]]]:
+    """One item per SSE line: the record of a ``data:`` line, else None."""
+    for raw in response:
+        line = raw.decode("utf-8").rstrip("\n")
+        if line.startswith("data: "):
+            yield json.loads(line[len("data: "):])
+        else:
+            yield None  # event name, blank separator or comment
 
 
 class ServeClient:
@@ -51,12 +70,17 @@ class ServeClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 return json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
-            try:
-                body = json.loads(error.read().decode("utf-8"))
-                message = body.get("error", error.reason)
-            except (ValueError, UnicodeDecodeError):
-                message = str(error.reason)
-            raise ServeError(error.code, message) from None
+            raise ServeError.from_http(error) from None
+
+    def _open_stream(self, job_id: str, read_timeout: Optional[float]):
+        request = urllib.request.Request(
+            self.base_url + f"/jobs/{job_id}/stream",
+            headers={"Accept": "text/event-stream"},
+        )
+        try:
+            return urllib.request.urlopen(request, timeout=read_timeout)
+        except urllib.error.HTTPError as error:
+            raise ServeError.from_http(error) from None
 
     # -- endpoints -------------------------------------------------------------
 
@@ -101,23 +125,28 @@ class ServeClient:
 
     # -- conveniences ----------------------------------------------------------
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 300.0,
-        poll_interval: float = 0.1,
-    ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its result record."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
+        """Follow the job's stream until it ends; returns its result record.
+
+        Returns as soon as the server ends the stream, which it does
+        right after journaling the job's terminal record. ``timeout``
+        is checked on every SSE line, keepalive comments included, and
+        the time left when the stream opens bounds every socket read,
+        so a silent server raises :class:`TimeoutError` too.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            view = self.job(job_id)
-            if view["state"] in TERMINAL_STATES:
-                return self.result(job_id)
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {view['state']} after {timeout}s"
-                )
-            time.sleep(poll_interval)
+        try:
+            with self._open_stream(job_id, timeout) as response:
+                for record in _sse_records(response):
+                    if (record or {}).get("event") == "stream_end":
+                        break
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError
+        except (TimeoutError, socket.timeout):
+            raise TimeoutError(
+                f"job {job_id} not finished after {timeout}s"
+            ) from None
+        return self.result(job_id)
 
     def stream(
         self, job_id: str, read_timeout: Optional[float] = None
@@ -132,25 +161,10 @@ class ServeClient:
         ``stream_end`` and sends keepalive comments while the job is
         quiet); pass ``read_timeout`` to bound each socket read anyway.
         """
-        request = urllib.request.Request(
-            self.base_url + f"/jobs/{job_id}/stream",
-            headers={"Accept": "text/event-stream"},
-        )
-        try:
-            response = urllib.request.urlopen(request, timeout=read_timeout)
-        except urllib.error.HTTPError as error:
-            try:
-                body = json.loads(error.read().decode("utf-8"))
-                message = body.get("error", error.reason)
-            except (ValueError, UnicodeDecodeError):
-                message = str(error.reason)
-            raise ServeError(error.code, message) from None
-        with response:
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\n")
-                if not line.startswith("data: "):
-                    continue  # event name / blank separator lines
-                record = json.loads(line[len("data: "):])
+        with self._open_stream(job_id, read_timeout) as response:
+            for record in _sse_records(response):
+                if record is None:
+                    continue
                 if record.get("event") == "stream_end":
                     return
                 yield record

@@ -19,7 +19,10 @@ Lifecycle of a submission:
    the scheduler; ``job_start``/``job_end`` telemetry routes back into
    the namespace journal and mirrors into the job table.
 3. ``GET /jobs/<id>/stream`` tails that journal with the
-   torn-line-tolerant reader and relays the job's events as SSE.
+   torn-line-tolerant reader and relays the job's events as SSE. The
+   stream sleeps until a journal write of its job wakes it (the
+   writer, on whatever thread, hands the wakeup to the event loop);
+   its only timer is the keepalive.
 
 On boot the server replays every namespace ledger: terminal records
 re-enter the job table (dedup returns them instantly), and jobs that
@@ -32,8 +35,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ExplorationError
 from repro.runtime.job import JobResult, JobSpec
@@ -63,14 +65,12 @@ class JobServer:
         timeout: Optional[float] = None,
         retries: int = 1,
         batch_limit: Optional[int] = None,
-        stream_poll: float = 0.05,
         stream_keepalive: float = 15.0,
         dispatch: bool = True,
     ) -> None:
         self.host = host
         self.port = port
         self.workers = workers or default_workers()
-        self.stream_poll = stream_poll
         #: Idle seconds between SSE keepalive comments on /stream.
         self.stream_keepalive = stream_keepalive
         #: Jobs claimed per scheduler batch. Small enough that a burst
@@ -104,6 +104,9 @@ class JobServer:
             max_workers=1, thread_name_prefix="repro-serve-dispatch"
         )
         self._thread: Optional[threading.Thread] = None
+        #: Open streams' wakeups per job id. Touched only on the event
+        #: loop; other threads reach it through ``_wake_streams``.
+        self._stream_wakeups: Dict[str, Set[asyncio.Event]] = {}
 
     # -- job table plumbing ----------------------------------------------------
 
@@ -120,6 +123,16 @@ class JobServer:
             self.queue.mark_running(job_id)
         elif event == "job_end":
             self.queue.finish(job_id, dict(fields))
+        self._wake_streams(job_id)
+
+    def _wake_streams(self, job_id: str) -> None:
+        """Wake the job's open streams (any thread; after the write)."""
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._set_wakeups, job_id)
+
+    def _set_wakeups(self, job_id: str) -> None:
+        for wakeup in self._stream_wakeups.get(job_id, ()):
+            wakeup.set()
 
     # -- submission ------------------------------------------------------------
 
@@ -160,6 +173,7 @@ class JobServer:
             ).to_dict()
             self.store.namespace(entry.namespace).emit("job_end", **record)
             self.queue.finish(job_id, record)
+            self._wake_streams(job_id)
         elif action == "requested":
             # In the dispatcher's hands: the scheduler retires it with
             # exactly one ``cancelled`` job_end unless it is already
@@ -222,6 +236,7 @@ class JobServer:
         # no journal record (finish() is idempotent).
         for entry, result in zip(batch, results):
             self.queue.finish(entry.job_id, result.to_dict())
+            self._wake_streams(entry.job_id)
 
     async def _dispatch_loop(self) -> None:
         """Claim batches and bridge them onto the dispatcher thread."""
@@ -390,42 +405,53 @@ class JobServer:
         path = self.store.namespace(entry.namespace).journal_path
         writer.write(protocol.sse_preamble())
         await writer.drain()
+        wakeup = asyncio.Event()
+        wakeups = self._stream_wakeups.setdefault(job_id, set())
+        wakeups.add(wakeup)
         offset = 0
-        last_write = time.monotonic()
-        while True:
-            # Order matters: read the entry state BEFORE tailing. The
-            # journal write precedes the table flip to terminal, so a
-            # terminal state observed here guarantees the job_end is
-            # already on disk and this pass's tail read relays it —
-            # stream_end can never race ahead of the terminal record.
-            current = self.queue.get(job_id)
-            terminal = current is None or current.state in TERMINAL_STATES
-            records, offset = tail_events(path, offset)
-            for record in records:
-                if record.get("job_id") != job_id:
-                    continue
-                writer.write(protocol.sse_event(record))
-                await writer.drain()
-                last_write = time.monotonic()
-            if terminal:
-                state = current.state if current is not None else "unknown"
-                writer.write(
-                    protocol.sse_event(
-                        {"event": "stream_end", "job_id": job_id,
-                         "state": state}
+        try:
+            while True:
+                # Clear first: a write landing after this point sets
+                # the wakeup again, so the wait below cannot miss it.
+                wakeup.clear()
+                # Order matters: read the entry state BEFORE tailing.
+                # The journal write precedes the table flip to
+                # terminal (a queue-side cancel flips first but writes
+                # before it returns to the loop), so a terminal state
+                # observed here guarantees the job_end is already on
+                # disk and this pass's tail read relays it —
+                # stream_end can never race ahead of the terminal
+                # record.
+                current = self.queue.get(job_id)
+                terminal = current is None or current.state in TERMINAL_STATES
+                records, offset = tail_events(path, offset)
+                for record in records:
+                    if record.get("job_id") == job_id:
+                        writer.write(protocol.sse_event(record))
+                if terminal:
+                    state = current.state if current is not None else "unknown"
+                    writer.write(
+                        protocol.sse_event(
+                            {"event": "stream_end", "job_id": job_id,
+                             "state": state}
+                        )
                     )
-                )
+                    await writer.drain()
+                    return
                 await writer.drain()
-                return
-            if not records:
-                if time.monotonic() - last_write >= self.stream_keepalive:
+                try:
+                    await asyncio.wait_for(
+                        wakeup.wait(), self.stream_keepalive
+                    )
+                except asyncio.TimeoutError:
                     # SSE comment: keeps quiet long-running jobs from
                     # tripping client/proxy read timeouts; clients
                     # ignore comment frames.
                     writer.write(protocol.sse_comment("keepalive"))
-                    await writer.drain()
-                    last_write = time.monotonic()
-                await asyncio.sleep(self.stream_poll)
+        finally:
+            wakeups.discard(wakeup)
+            if not wakeups:
+                self._stream_wakeups.pop(job_id, None)
 
     def health(self) -> Dict[str, Any]:
         return {

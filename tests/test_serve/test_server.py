@@ -2,13 +2,15 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
-from repro.runtime.job import JobSpec
+from repro.runtime.job import JobResult, JobSpec
 from repro.runtime.ledger import canonical_record
 from repro.runtime.telemetry import TelemetryLogger, read_events
-from repro.serve.client import ServeError
+from repro.serve.client import ServeClient, ServeError
 
 from tests.test_serve.conftest import make_server
 
@@ -120,8 +122,6 @@ class TestStream:
         # timeouts never fire between job_start and job_end.
         import urllib.request
 
-        from repro.serve.client import ServeClient
-
         server = make_server(tmp_path, dispatch=False, stream_keepalive=0.05)
         server.start_background()
         try:
@@ -141,6 +141,108 @@ class TestStream:
                     if line.startswith(":"):
                         break
                 assert any(l.startswith(": keepalive") for l in seen)
+        finally:
+            server.stop_background()
+
+
+def _emit_job_end(server, spec, status="optimal"):
+    """Journal a job_end through the scheduler's telemetry sink."""
+    record = JobResult(spec.job_id, spec, status).to_dict()
+    server.telemetry.emit("job_end", **record)
+
+
+def _wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+class TestStreamPush:
+    """Journal writes wake open streams; the keepalive is the only timer."""
+
+    def test_job_end_from_another_thread_ends_stream_promptly(self, tmp_path):
+        # With a 30 s keepalive, a stream that only re-checked on its
+        # timer would still be waiting long after the 2 s bound.
+        server = make_server(tmp_path, dispatch=False, stream_keepalive=30)
+        server.start_background()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            spec = _tiny_spec()
+            client.submit(spec, namespace="push")
+            stream = client.stream(spec.job_id, read_timeout=10)
+            first = next(stream)
+            emitted = []
+
+            def finish():
+                emitted.append(time.monotonic())
+                _emit_job_end(server, spec)
+
+            emitter = threading.Thread(target=finish)
+            emitter.start()
+            rest = list(stream)
+            ended = time.monotonic()
+            emitter.join(5)
+            assert not emitter.is_alive()
+            assert first["event"] == "job_submitted"
+            assert [r["event"] for r in rest] == ["job_end"]
+            assert ended - emitted[0] < 2.0
+        finally:
+            server.stop_background()
+
+    def test_cancel_of_queued_job_ends_its_stream(self, idle_client):
+        spec = _tiny_spec()
+        idle_client.submit(spec, namespace="ci")
+        stream = idle_client.stream(spec.job_id, read_timeout=10)
+        events = [next(stream)]
+        assert idle_client.cancel(spec.job_id)["action"] == "cancelled"
+        events.extend(stream)
+        # stream() returns at stream_end, so job_end came before it.
+        assert [r["event"] for r in events] == ["job_submitted", "job_end"]
+        assert events[-1]["status"] == "cancelled"
+
+    def test_concurrent_streams_all_end_and_unregister(
+        self, idle_client, idle_server
+    ):
+        specs = [_tiny_spec("complete"), _tiny_spec("only-iso")]
+        for spec in specs:
+            idle_client.submit(spec, namespace="fan")
+        results = {}
+
+        def follow(index, job_id):
+            results[index] = [
+                r["event"] for r in idle_client.stream(job_id, read_timeout=10)
+            ]
+
+        threads = [
+            threading.Thread(target=follow, args=(i, specs[i % 2].job_id))
+            for i in range(20)
+        ]
+        for thread in threads:
+            thread.start()
+        wakeups = idle_server._stream_wakeups
+        assert _wait_for(
+            lambda: [len(wakeups.get(s.job_id, ())) for s in specs] == [10, 10]
+        )
+        for spec in specs:
+            _emit_job_end(idle_server, spec)
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {i: ["job_submitted", "job_end"] for i in range(20)}
+        assert _wait_for(lambda: not wakeups)
+
+    def test_wait_times_out_on_a_job_that_never_starts(self, tmp_path):
+        server = make_server(tmp_path, dispatch=False, stream_keepalive=0.05)
+        server.start_background()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            spec = _tiny_spec()
+            client.submit(spec)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(spec.job_id, timeout=0.5)
+            assert time.monotonic() - started < 2.0
         finally:
             server.stop_background()
 
