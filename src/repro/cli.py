@@ -22,9 +22,10 @@ Commands:
   (``--html``), merge a sweep journal into a fleet view (``--sweep``),
   or diff two traces (``obs diff BASE OTHER``).
 
-The exploration commands (and ``table2``/``sweep``) accept ``--trace
-FILE [--trace-format {jsonl,chrome}]`` to record a hierarchical run
-trace through :mod:`repro.obs`.
+The exploration commands (and ``table2``) accept ``--trace FILE
+[--trace-format {jsonl,chrome}]`` to record a hierarchical run trace
+through :mod:`repro.obs`. A sweep's job lifecycle is its ``--telemetry``
+journal; ``obs --sweep JOURNAL`` draws it.
 
 Every job command (``rpl``/``epn``/``wsn``, ``table2``, ``topk``,
 ``diagnose``, ``submit``) builds a :class:`repro.runtime.JobSpec` from
@@ -419,7 +420,6 @@ def _cmd_sweep(args) -> int:
     telemetry = (
         TelemetryLogger(telemetry_path) if telemetry_path else NullTelemetry()
     )
-    tracer = _make_tracer(args)
     scheduler = Scheduler(
         max_workers=args.workers or default_workers(),
         timeout=args.timeout,
@@ -428,14 +428,12 @@ def _cmd_sweep(args) -> int:
         use_cache=not args.no_cache,
         telemetry=telemetry,
         serial=args.serial,
-        tracer=tracer,
         max_rebuilds=args.max_rebuilds,
     )
     try:
         report = run_sweep(specs, scheduler=scheduler, resume=args.resume)
     finally:
         telemetry.close()
-        _finish_tracer(tracer, args)
     if args.json:
         print(json.dumps(report.records, sort_keys=True))
     else:
@@ -711,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--json", action="store_true", help="print the aggregated records as JSON"
     )
-    _add_trace_flags(sweep_cmd)
     sweep_cmd.set_defaults(
         func=_cmd_sweep, max_iterations=5000, time_limit=120.0
     )

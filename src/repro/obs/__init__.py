@@ -27,7 +27,7 @@ Every exploration runs under a :class:`Tracer`: its phase spans are
 the only timer behind ``stats`` and ``--profile``. Without a bound
 tracer the engine uses a sink-less one; ``--trace PATH
 [--trace-format {jsonl,chrome}]`` on the
-``rpl``/``epn``/``wsn``/``table2``/``sweep`` commands, or
+``rpl``/``epn``/``wsn``/``table2`` commands, or
 ``ContrArcExplorer(..., tracer=Tracer(...))``, adds sinks that record
 the spans and the metrics snapshot.
 """

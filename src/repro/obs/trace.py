@@ -266,11 +266,9 @@ class Tracer:
 
     Single-threaded by design (the exploration parent is): open spans
     form a stack, and :meth:`span` children attach to the innermost open
-    span. Concurrent *parent-side* intervals (the sweep scheduler's
-    overlapping jobs) use ``detached=True`` with an explicit parent.
-    Finished spans are forwarded to every sink immediately; metrics are
-    snapshotted once at :meth:`finish`. A tracer without sinks still
-    times every span and feeds the metrics registry.
+    span. Finished spans are forwarded to every sink immediately;
+    metrics are snapshotted once at :meth:`finish`. A tracer without
+    sinks still times every span and feeds the metrics registry.
     """
 
     def __init__(
@@ -313,19 +311,14 @@ class Tracer:
         name: str,
         seq: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
-        detached: bool = False,
-        parent: Optional[Span] = None,
     ) -> Span:
-        """Open a span under the current one (or ``parent`` if detached).
+        """Open a span under the current one.
 
         ``seq`` overrides the automatic sibling ordinal — pass it when a
         stable external ordinal exists (e.g. the plan index) so
         the id survives reordering of *other* siblings.
         """
-        if detached:
-            parent_id = parent.span_id if parent is not None else None
-        else:
-            parent_id = self.current.span_id if self._stack else None
+        parent_id = self.current.span_id if self._stack else None
         if seq is None:
             seq = self._next_seq(parent_id, name)
         span = Span(
@@ -335,8 +328,7 @@ class Tracer:
             self.now(),
             attrs=attrs,
         )
-        if not detached:
-            self._stack.append(span)
+        self._stack.append(span)
         return span
 
     def end_span(self, span: Span) -> None:

@@ -22,6 +22,11 @@ Semantics:
 * the last record per job id wins (a retry's eventual success
   supersedes an earlier failure appended by the same journal).
 
+Every reader of a journal — the ledger views here, the fleet timeline,
+:meth:`repro.runtime.sweep.SweepReport.from_journal` and the serve boot
+scan :func:`repro.serve.session.scan_journal` — is a view of one
+single-pass fold, :func:`fold_journal`.
+
 :func:`canonical_record` is the equivalence the resume tests (and the
 CI chaos job) pin: a resumed sweep's records must equal an
 uninterrupted sweep's records modulo wall-clock-dependent fields.
@@ -52,18 +57,7 @@ def load_ledger(path: str, strict: bool = False) -> Dict[str, Dict[str, Any]]:
     Tolerates the truncated final line a killed run leaves behind
     (see :func:`repro.runtime.telemetry.iter_events`).
     """
-    ledger: Dict[str, Dict[str, Any]] = {}
-    for event in iter_events(path, strict=strict):
-        if event.get("event") != "job_end":
-            continue
-        job_id = event.get("job_id")
-        if job_id:
-            ledger[job_id] = {
-                key: value
-                for key, value in event.items()
-                if key not in ("event", "ts")
-            }
-    return ledger
+    return fold_journal(path, strict=strict).ledger()
 
 
 def completed_records(path: str, strict: bool = False) -> Dict[str, Dict[str, Any]]:
@@ -109,6 +103,105 @@ class Incident:
     job_id: Optional[str] = None
     detail: str = ""
 
+    @classmethod
+    def from_event(cls, event: Dict[str, Any]) -> "Incident":
+        """One :data:`INCIDENT_EVENTS` record with a human-readable detail."""
+        kind = event.get("event")
+        if kind == "job_retry":
+            detail = (
+                f"attempt {event.get('attempt', '?')} crashed, "
+                f"backoff {event.get('backoff', 0.0):.2f}s"
+            )
+        elif kind == "scheduler_degraded":
+            detail = (
+                f"{event.get('rebuilds', '?')} pool rebuilds, "
+                f"{event.get('remaining', '?')} jobs drained serially"
+            )
+        elif kind == "job_timeout":
+            detail = (
+                f"no response after {event.get('after', '?')}s "
+                f"({event.get('stage', 'worker')})"
+            )
+        else:  # sweep_cancelled
+            detail = f"{event.get('completed', '?')} jobs completed before cancel"
+        return cls(kind, float(event.get("ts", 0.0)), event.get("job_id"), detail)
+
+
+@dataclass
+class JournalFold:
+    """What one pass over a journal keeps; every reader is a view of it.
+
+    Only events with a non-empty ``job_id`` feed the per-job maps, and
+    journal indices count every decoded event.
+    """
+
+    first_ts: Optional[float] = None  # first and last ``ts`` present
+    last_ts: Optional[float] = None
+    #: Last ``job_end`` event per job id, in first-``job_end`` order.
+    ends: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Journal index of each job's last ``job_end``.
+    ended_at: Dict[str, int] = field(default_factory=dict)
+    #: Last ``job_submitted`` event carrying a spec, per job id.
+    submitted: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Journal index of each job's last such ``job_submitted``.
+    submitted_at: Dict[str, int] = field(default_factory=dict)
+    #: Timestamp of each job's first ``job_start``.
+    first_start: Dict[str, float] = field(default_factory=dict)
+    #: Job ids in order of their first ``job_start`` or ``job_end``.
+    lanes: List[str] = field(default_factory=list)
+    sweep_start: Optional[Dict[str, Any]] = None  # the last one
+    sweep_resume: Optional[Dict[str, Any]] = None  # the last one
+    incidents: List[Incident] = field(default_factory=list)
+
+    def ledger(self) -> Dict[str, Dict[str, Any]]:
+        """``{job_id: last job_end record}`` without ``event``/``ts``."""
+        return {
+            job_id: {
+                key: value
+                for key, value in event.items()
+                if key not in ("event", "ts")
+            }
+            for job_id, event in self.ends.items()
+        }
+
+
+def fold_journal(path: str, strict: bool = False) -> JournalFold:
+    """Read a journal once and keep what every journal reader needs.
+
+    Tolerates the truncated final line a killed run leaves behind
+    unless ``strict`` (see :func:`repro.runtime.telemetry.iter_events`).
+    """
+    fold = JournalFold()
+    for index, event in enumerate(iter_events(path, strict=strict)):
+        kind = event.get("event")
+        ts = event.get("ts")
+        if ts is not None:
+            if fold.first_ts is None:
+                fold.first_ts = ts
+            fold.last_ts = ts
+        if kind in INCIDENT_EVENTS:
+            fold.incidents.append(Incident.from_event(event))
+        elif kind == "sweep_start":
+            fold.sweep_start = event
+        elif kind == "sweep_resume":
+            fold.sweep_resume = event
+        job_id = event.get("job_id")
+        if not job_id:
+            continue
+        if kind in ("job_start", "job_end") and not (
+            job_id in fold.first_start or job_id in fold.ends
+        ):
+            fold.lanes.append(job_id)
+        if kind == "job_start":
+            fold.first_start.setdefault(job_id, float(ts or 0.0))
+        elif kind == "job_end":
+            fold.ends[job_id] = event
+            fold.ended_at[job_id] = index
+        elif kind == "job_submitted" and event.get("spec"):
+            fold.submitted[job_id] = event
+            fold.submitted_at[job_id] = index
+    return fold
+
 
 @dataclass(frozen=True)
 class JobLane:
@@ -150,90 +243,50 @@ def extract_incidents(path: str, strict: bool = False) -> List[Incident]:
     with a human-readable ``detail`` line, in journal order — the
     mechanical input behind the dashboard's incident markers and table.
     """
-    incidents: List[Incident] = []
-    for event in iter_events(path, strict=strict):
-        kind = event.get("event")
-        if kind not in INCIDENT_EVENTS:
-            continue
-        ts = float(event.get("ts", 0.0))
-        if kind == "job_retry":
-            detail = (
-                f"attempt {event.get('attempt', '?')} crashed, "
-                f"backoff {event.get('backoff', 0.0):.2f}s"
-            )
-        elif kind == "scheduler_degraded":
-            detail = (
-                f"{event.get('rebuilds', '?')} pool rebuilds, "
-                f"{event.get('remaining', '?')} jobs drained serially"
-            )
-        elif kind == "job_timeout":
-            detail = (
-                f"no response after {event.get('after', '?')}s "
-                f"({event.get('stage', 'worker')})"
-            )
-        else:  # sweep_cancelled
-            detail = f"{event.get('completed', '?')} jobs completed before cancel"
-        incidents.append(Incident(kind, ts, event.get("job_id"), detail))
-    return incidents
+    return fold_journal(path, strict=strict).incidents
 
 
 def sweep_timeline(path: str, strict: bool = False) -> SweepTimeline:
     """Reduce a sweep journal to job swimlanes, incidents and queue depth.
 
-    Jobs keep journal (start) order. A job whose terminal ``job_end``
-    precedes the last ``sweep_resume`` marker was replayed from the
-    ledger rather than executed by the resuming run. The ``depth``
-    series steps at every start/end: how many jobs were in flight.
+    Jobs keep journal order (first start, or terminal record for a job
+    that never started in this journal). A job whose terminal
+    ``job_end`` precedes the last ``sweep_resume`` marker was replayed
+    from the ledger rather than executed by the resuming run. The
+    ``depth`` series steps at every start/end: how many jobs were in
+    flight.
     """
-    events = list(iter_events(path, strict=strict))
-    timeline = SweepTimeline()
-    if not events:
-        return timeline
-    timeline.origin = float(events[0].get("ts", 0.0))
-    timeline.end = float(events[-1].get("ts", timeline.origin))
-    first_start: Dict[str, float] = {}
-    order: List[str] = []
-    terminal: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        kind = event.get("event")
-        ts = float(event.get("ts", 0.0))
-        job_id = event.get("job_id")
-        if kind == "sweep_start":
-            timeline.total_jobs = int(event.get("jobs", 0))
-            timeline.workers = int(event.get("workers", 0))
-        elif kind == "sweep_resume":
-            timeline.resume_ts = ts
-            timeline.replayed = int(event.get("replayed", 0))
-        elif kind == "job_start" and job_id:
-            if job_id not in first_start:
-                first_start[job_id] = ts
-                order.append(job_id)
-        elif kind == "job_end" and job_id:
-            if job_id not in first_start:
-                order.append(job_id)  # replayed: no start in this journal slice
-            terminal[job_id] = dict(event, ts=ts)
-    for job_id in order:
-        record = terminal.get(job_id)
-        end_ts = float(record["ts"]) if record else timeline.end
-        start_ts = first_start.get(job_id, end_ts)
+    fold = fold_journal(path, strict=strict)
+    timeline = SweepTimeline(incidents=fold.incidents)
+    if fold.first_ts is not None:
+        timeline.origin = float(fold.first_ts)
+        timeline.end = float(fold.last_ts)
+    if fold.sweep_start is not None:
+        timeline.total_jobs = int(fold.sweep_start.get("jobs", 0))
+        timeline.workers = int(fold.sweep_start.get("workers", 0))
+    if fold.sweep_resume is not None:
+        timeline.resume_ts = float(fold.sweep_resume.get("ts", 0.0))
+        timeline.replayed = int(fold.sweep_resume.get("replayed", 0))
+    for job_id in fold.lanes:
+        record = fold.ends.get(job_id) or {}
+        end_ts = float(record.get("ts", 0.0)) if record else timeline.end
         replayed = (
             timeline.resume_ts is not None
-            and record is not None
-            and float(record["ts"]) < timeline.resume_ts
+            and bool(record)
+            and end_ts < timeline.resume_ts
         )
-        spec = (record or {}).get("spec") or {}
+        spec = record.get("spec") or {}
         timeline.jobs.append(
             JobLane(
                 job_id,
-                str(spec.get("label") or (record or {}).get("label") or job_id[:8]),
-                start_ts,
+                str(spec.get("label") or record.get("label") or job_id[:8]),
+                fold.first_start.get(job_id, end_ts),
                 end_ts,
-                str((record or {}).get("status", "unfinished")),
-                int((record or {}).get("attempts", 1) or 1),
-                bool(replayed),
+                str(record.get("status", "unfinished")),
+                int(record.get("attempts", 1) or 1),
+                replayed,
             )
         )
-    timeline.incidents = extract_incidents(path, strict=strict)
     # In-flight depth: +1 at each first start, -1 at each terminal end.
     steps: List[Tuple[float, int]] = []
     for lane in timeline.jobs:

@@ -14,8 +14,8 @@ The :class:`Scheduler` turns a list of :class:`JobSpec` into a list of
   jobs are resubmitted (exponential backoff, jitter seeded from the job
   id so retry trajectories are reproducible) up to ``retries`` times
   before being reported as ``crashed``. After ``max_rebuilds`` pool
-  rebuilds the scheduler stops thrashing and degrades to serial
-  in-parent execution of whatever remains.
+  rebuilds the scheduler stops thrashing and degrades to the serial
+  in-process path for whatever remains.
 * ``timeout`` bounds each job's wall clock. Enforcement is primarily
   *worker-side* (see :func:`repro.runtime.worker.run_job`): the worker
   returns a ``timeout`` record and its pool slot is immediately
@@ -31,10 +31,12 @@ The :class:`Scheduler` turns a list of :class:`JobSpec` into a list of
   terminated with exactly one ``cancelled`` ``job_end``; a job already
   executing completes with its real outcome.
 
-Every terminal outcome is journaled as a ``job_end`` telemetry event —
-the journal doubles as the durable run ledger that ``sweep --resume``
-replays (see :mod:`repro.runtime.ledger`).
-"""
+The telemetry journal is the only record of a job's lifecycle:
+``job_start`` per attempt, ``job_retry``/``job_timeout`` incidents, and
+exactly one ``job_end`` for every :class:`JobResult` that :meth:`run`
+returns, written on one path (``_emit_end``). The journal doubles as
+the durable run ledger that ``sweep --resume`` replays (see
+:mod:`repro.runtime.ledger`)."""
 
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.runtime import faults
 from repro.runtime.job import JobResult, JobSpec
@@ -106,7 +108,6 @@ class Scheduler:
         telemetry=None,
         serial: bool = False,
         poll_interval: float = 0.2,
-        tracer=None,
         max_rebuilds: int = 3,
         backoff_base: float = 0.25,
         backoff_cap: float = 5.0,
@@ -120,11 +121,6 @@ class Scheduler:
         self.telemetry = telemetry if telemetry is not None else NullTelemetry()
         self.serial = serial
         self.poll_interval = poll_interval
-        #: Optional :class:`repro.obs.trace.Tracer`. Pooled jobs overlap
-        #: in time, so their spans are *detached* children of the sweep
-        #: span (explicit parent, no stack discipline), seq'd by spec
-        #: order — ids stay stable across pool sizes and retries.
-        self.tracer = tracer
         #: Pool rebuilds tolerated before degrading to serial in-parent
         #: execution (a machine-level fault — bad RAM, cgroup OOM loops —
         #: makes every rebuild die the same way; thrashing helps nobody).
@@ -141,9 +137,6 @@ class Scheduler:
         self.rebuilds = 0
         #: True once this run degraded to serial in-parent execution.
         self.degraded = False
-        self._sweep_span = None
-        self._job_spans: Dict[str, Any] = {}
-        self._job_seqs: Dict[str, int] = {}
         #: Job-level cancellation requests, settable from any thread
         #: (the ``repro serve`` dispatcher cancels jobs mid-batch on
         #: behalf of HTTP clients). Only the :meth:`run` thread mutates
@@ -189,96 +182,84 @@ class Scheduler:
             serial=self.serial,
             cache_path=self.cache_path,
         )
-        if self.tracer is not None:
-            self._sweep_span = self.tracer.start_span(
-                "sweep",
-                attrs={
-                    "jobs": len(specs),
-                    "workers": 1 if self.serial else self.max_workers,
-                    "serial": self.serial,
-                },
-            )
-            self._job_spans = {}
-            self._job_seqs = {
-                spec.job_id: index for index, spec in enumerate(specs)
-            }
         started = time.perf_counter()
+        queue = [_Pending(spec, 1) for spec in specs]
+        by_id: Dict[str, JobResult] = {}
         try:
             if self.serial:
-                results = self._run_serial(specs)
+                self._run_inline(queue, by_id)
             else:
-                results = self._run_pooled(specs)
-            statuses: Dict[str, int] = {}
-            for result in results:
-                statuses[result.status] = statuses.get(result.status, 0) + 1
-                self._end_job_span(result)
-            self.telemetry.emit(
-                "sweep_end",
-                jobs=len(specs),
-                wall_clock=time.perf_counter() - started,
-                statuses=statuses,
-            )
-            if self._sweep_span is not None:
-                self._sweep_span.attrs["statuses"] = statuses
-            return results
-        finally:
-            if self._sweep_span is not None:
-                self.tracer.end_span(self._sweep_span)
-                self._sweep_span = None
-
-    # -- job spans ---------------------------------------------------------------
-
-    def _start_job_span(self, spec: JobSpec) -> None:
-        """Open the job's detached span on its first submission."""
-        if self.tracer is None or spec.job_id in self._job_spans:
-            return
-        self._job_spans[spec.job_id] = self.tracer.start_span(
-            "job",
-            seq=self._job_seqs.get(spec.job_id),
-            attrs={"job_id": spec.job_id, "label": spec.label},
-            detached=True,
-            parent=self._sweep_span,
+                self._run_pooled(queue, by_id)
+        except KeyboardInterrupt:
+            # Every job without a terminal record — queued, backing off
+            # or in flight — is retired as cancelled.
+            self.telemetry.emit("sweep_cancelled", completed=len(by_id))
+            attempts = {p.spec.job_id: p.attempts for p in queue}
+            for spec in specs:
+                if spec.job_id not in by_id:
+                    pending = _Pending(spec, attempts.get(spec.job_id, 1))
+                    self._finish_cancelled(pending, by_id)
+        results = [by_id[spec.job_id] for spec in specs]
+        statuses: Dict[str, int] = {}
+        for result in results:
+            statuses[result.status] = statuses.get(result.status, 0) + 1
+        self.telemetry.emit(
+            "sweep_end",
+            jobs=len(specs),
+            wall_clock=time.perf_counter() - started,
+            statuses=statuses,
         )
-
-    def _end_job_span(self, result: JobResult) -> None:
-        span = self._job_spans.get(result.job_id)
-        if span is None or span.closed:
-            return
-        span.attrs.update(status=result.status, attempts=result.attempts)
-        self.tracer.end_span(span)
-
-    # -- serial path ------------------------------------------------------------
-
-    def _run_serial(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        results: List[JobResult] = []
-        for spec in specs:
-            if self._is_cancelled(spec.job_id):
-                results.append(self._finish_cancelled(_Pending(spec, 0)))
-                continue
-            self.telemetry.emit("job_start", job_id=spec.job_id, label=spec.label)
-            self._start_job_span(spec)
-            record = run_job(
-                spec.to_dict(),
-                cache_path=self.cache_path,
-                use_cache=self.use_cache,
-                deadline=self.timeout,
-            )
-            result = JobResult.from_dict(record)
-            self._emit_end(result)
-            results.append(result)
         return results
+
+    # -- in-process path --------------------------------------------------------
+
+    def _run_inline(
+        self, queue: List[_Pending], by_id: Dict[str, JobResult]
+    ) -> None:
+        """Run queued jobs one after another in this process.
+
+        The ``serial=True`` path, and the degraded mode a pool that keeps
+        dying falls back to: slower, but it cannot crash-loop, and
+        worker-side deadlines still apply. Degraded ``job_start`` events
+        carry the attempt number and ``inline=True``. A job leaves the
+        queue only after its terminal record, so an interrupt cancels the
+        job in flight and those behind it, never a finished one.
+        """
+        while queue:
+            pending = queue[0]
+            spec = pending.spec
+            if self._is_cancelled(spec.job_id):
+                self._finish_cancelled(pending, by_id)
+            else:
+                fallback = (
+                    {"attempt": pending.attempts, "inline": True}
+                    if self.degraded
+                    else {}
+                )
+                self.telemetry.emit(
+                    "job_start", job_id=spec.job_id, label=spec.label, **fallback
+                )
+                record = run_job(
+                    spec.to_dict(),
+                    cache_path=self.cache_path,
+                    use_cache=self.use_cache,
+                    deadline=self.timeout,
+                )
+                record["attempts"] = pending.attempts
+                self._emit_end(JobResult.from_dict(record), by_id)
+            queue.pop(0)
 
     # -- pooled path ------------------------------------------------------------
 
-    def _run_pooled(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        by_id: Dict[str, JobResult] = {}
-        queue: List[_Pending] = [_Pending(s, 1) for s in specs]
+    def _run_pooled(
+        self, queue: List[_Pending], by_id: Dict[str, JobResult]
+    ) -> None:
         executor = self._new_executor()
         futures: Dict[concurrent.futures.Future, _Pending] = {}
         try:
             while queue or futures:
                 if self.degraded:
-                    self._drain_inline(queue, by_id)
+                    self._run_inline(queue, by_id)
                     break
                 now = time.perf_counter()
                 self._apply_cancellations(futures, queue, by_id)
@@ -311,11 +292,7 @@ class Scheduler:
                     pending = futures.pop(future)
                     if isinstance(future.exception(), BrokenProcessPool):
                         broken = True
-                        self._requeue_or_fail(pending, future, queue, by_id)
-                    else:
-                        outcome = self._collect(future, pending, queue, by_id)
-                        if outcome is not None:
-                            by_id[outcome.job_id] = outcome
+                    self._collect(future, pending, queue, by_id)
                 if broken:
                     # The pool is unusable after a worker death; rebuild
                     # it and resubmit only what is genuinely in flight.
@@ -336,21 +313,9 @@ class Scheduler:
                 self._expire_timeouts(futures, by_id)
         except KeyboardInterrupt:
             executor.shutdown(wait=False, cancel_futures=True)
-            for pending in list(futures.values()) + queue:
-                by_id[pending.spec.job_id] = JobResult(
-                    pending.spec.job_id, pending.spec, "cancelled",
-                    attempts=pending.attempts,
-                )
-            self.telemetry.emit("sweep_cancelled", completed=len(by_id))
-        else:
-            executor.shutdown()
-        return [
-            by_id.get(
-                spec.job_id,
-                JobResult(spec.job_id, spec, "cancelled"),
-            )
-            for spec in specs
-        ]
+            queue[:0] = futures.values()  # :meth:`run` cancels them
+            raise
+        executor.shutdown()
 
     def _new_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
@@ -382,7 +347,6 @@ class Scheduler:
                 label=pending.spec.label,
                 attempt=pending.attempts,
             )
-            self._start_job_span(pending.spec)
             futures[self._submit(executor, pending)] = pending
 
     def _submit(self, executor, pending: _Pending) -> concurrent.futures.Future:
@@ -394,17 +358,17 @@ class Scheduler:
             deadline=self.timeout,
         )
 
-    def _finish_cancelled(self, pending: _Pending) -> JobResult:
+    def _finish_cancelled(
+        self, pending: _Pending, by_id: Dict[str, JobResult]
+    ) -> None:
         """Retire a cancelled job: one terminal ``cancelled`` record."""
-        self.uncancel(pending.spec.job_id)  # consumed; a resubmit starts clean
         result = JobResult(
             pending.spec.job_id,
             pending.spec,
             "cancelled",
             attempts=pending.attempts,
         )
-        self._emit_end(result)
-        return result
+        self._emit_end(result, by_id)
 
     def _apply_cancellations(
         self,
@@ -427,16 +391,14 @@ class Scheduler:
         keep: List[_Pending] = []
         for pending in queue:
             if pending.spec.job_id in wanted:
-                result = self._finish_cancelled(pending)
-                by_id[result.job_id] = result
+                self._finish_cancelled(pending, by_id)
             else:
                 keep.append(pending)
         queue[:] = keep
         for future, pending in list(futures.items()):
             if pending.spec.job_id in wanted and future.cancel():
                 del futures[future]
-                result = self._finish_cancelled(pending)
-                by_id[result.job_id] = result
+                self._finish_cancelled(pending, by_id)
 
     def _requeue_or_fail(
         self,
@@ -452,8 +414,7 @@ class Scheduler:
             # must not resubmit the job. Retire it here — this is the
             # only terminal path it takes, so exactly one ``job_end``
             # (status ``cancelled``) reaches the ledger.
-            result = self._finish_cancelled(pending)
-            by_id[result.job_id] = result
+            self._finish_cancelled(pending, by_id)
             return
         if pending.attempts <= self.retries:
             delay = backoff_delay(
@@ -484,8 +445,7 @@ class Scheduler:
             error=repr(error),
             attempts=pending.attempts,
         )
-        self._emit_end(result)
-        by_id[result.job_id] = result
+        self._emit_end(result, by_id)
 
     def _collect(
         self,
@@ -493,56 +453,17 @@ class Scheduler:
         pending: _Pending,
         queue: List[_Pending],
         by_id: Dict[str, JobResult],
-    ) -> Optional[JobResult]:
-        """Turn a completed future into a result, or requeue on failure.
-
-        Returns None when the job was requeued.
-        """
+    ) -> None:
+        """Turn a completed future into a result, or requeue on failure."""
         error = future.exception()
         if error is None:
             record = future.result()
             record["attempts"] = pending.attempts
-            result = JobResult.from_dict(record)
-            self._emit_end(result)
-            return result
-        # A submit-level exception (not a worker death): retry with the
-        # same backoff policy, then report crashed.
+            self._emit_end(JobResult.from_dict(record), by_id)
+            return
+        # A worker death or a submit-level exception: retry with the
+        # backoff policy, then report crashed.
         self._requeue_or_fail(pending, future, queue, by_id)
-        return None
-
-    def _drain_inline(
-        self, queue: List[_Pending], by_id: Dict[str, JobResult]
-    ) -> None:
-        """Degraded mode: run everything left serially in-parent.
-
-        Last-resort forward progress when the pool keeps dying: slower,
-        but it cannot crash-loop, and worker-side deadlines still apply
-        (in-parent execution is exactly the serial path).
-        """
-        for pending in queue:
-            if self._is_cancelled(pending.spec.job_id):
-                result = self._finish_cancelled(pending)
-                by_id[result.job_id] = result
-                continue
-            self.telemetry.emit(
-                "job_start",
-                job_id=pending.spec.job_id,
-                label=pending.spec.label,
-                attempt=pending.attempts,
-                inline=True,
-            )
-            self._start_job_span(pending.spec)
-            record = run_job(
-                pending.spec.to_dict(),
-                cache_path=self.cache_path,
-                use_cache=self.use_cache,
-                deadline=self.timeout,
-            )
-            record["attempts"] = pending.attempts
-            result = JobResult.from_dict(record)
-            self._emit_end(result)
-            by_id[result.job_id] = result
-        queue.clear()
 
     def _note_running(
         self, futures: Dict[concurrent.futures.Future, _Pending]
@@ -563,8 +484,9 @@ class Scheduler:
         every job that is actually executing Python; this path only
         fires — after generous extra grace — when a worker is wedged
         beyond even SIGALRM (e.g. stuck in a C call with signals
-        blocked). The future cannot be interrupted; it is abandoned and
-        journaled as ``timeout``.
+        blocked). The future cannot be interrupted; it is abandoned,
+        journaled as a ``job_timeout`` incident, and ended as
+        ``timeout``.
         """
         if self.timeout is None:
             return
@@ -577,6 +499,12 @@ class Scheduler:
                 continue
             future.cancel()
             del futures[future]
+            self.telemetry.emit(
+                "job_timeout",
+                job_id=pending.spec.job_id,
+                after=self.timeout,
+                stage="parent-backstop",
+            )
             result = JobResult(
                 pending.spec.job_id,
                 pending.spec,
@@ -588,19 +516,13 @@ class Scheduler:
                 attempts=pending.attempts,
                 duration=now - pending.started_at,
             )
-            by_id[result.job_id] = result
-            self.telemetry.emit(
-                "job_timeout",
-                job_id=result.job_id,
-                after=self.timeout,
-                stage="parent-backstop",
-            )
-            self._end_job_span(result)
+            self._emit_end(result, by_id)
 
-    def _emit_end(self, result: JobResult) -> None:
+    def _emit_end(self, result: JobResult, by_id: Dict[str, JobResult]) -> None:
+        """The one terminal path: record the result, journal its ``job_end``."""
         # A cancel that arrived while the job was already executing is
         # unenforceable; drop it with the terminal record so a later
         # resubmission of the same spec is not spuriously cancelled.
         self.uncancel(result.job_id)
+        by_id[result.job_id] = result
         self.telemetry.emit("job_end", **result.to_dict())
-        self._end_job_span(result)

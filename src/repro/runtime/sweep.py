@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.job import JobResult, JobSpec, SCENARIOS
-from repro.runtime.ledger import completed_records, load_ledger, plan_resume
+from repro.runtime.ledger import completed_records, fold_journal, plan_resume
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.telemetry import iter_events
 from repro.reporting.tables import format_seconds, render_table
 
 #: The representative Table II subset used when a full sweep is not
@@ -122,25 +121,24 @@ class SweepReport:
     def from_journal(cls, path: str, strict: bool = False) -> "SweepReport":
         """Rebuild a report from a journal's last-record-wins ledger view.
 
-        Aggregates over :func:`repro.runtime.ledger.load_ledger` — one
-        record per job id, the last ``job_end`` winning — never over
-        raw events: a journal holding both a crashed attempt and its
+        Aggregates over the :func:`repro.runtime.ledger.load_ledger`
+        view of :func:`~repro.runtime.ledger.fold_journal` — one record
+        per job id, the last ``job_end`` winning — never over raw
+        events: a journal holding both a crashed attempt and its
         retried (or resume-replayed) terminal record for one job counts
         that job once. Wall clock spans the journal's first to last
         timestamp.
         The ``repro serve`` namespace report endpoint is built on this.
         """
-        stamps = [
-            event["ts"]
-            for event in iter_events(path, strict=strict)
-            if event.get("ts") is not None
-        ]
+        fold = fold_journal(path, strict=strict)
         results = [
             JobResult.from_dict(record)
-            for record in load_ledger(path, strict=strict).values()
+            for record in fold.ledger().values()
             if record.get("spec")
         ]
-        wall_clock = stamps[-1] - stamps[0] if stamps else 0.0
+        wall_clock = (
+            fold.last_ts - fold.first_ts if fold.first_ts is not None else 0.0
+        )
         return cls(results, wall_clock)
 
     def _latest_by_job(self) -> List[JobResult]:

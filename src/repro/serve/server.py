@@ -232,8 +232,8 @@ class JobServer:
                 self.scheduler.cancel(entry.job_id)
         results = self.scheduler.run([entry.spec for entry in batch])
         # Telemetry routing already finished each entry as its job_end
-        # was journaled; this is the backstop for results that produced
-        # no journal record (finish() is idempotent).
+        # was journaled; finishing again from the returned results is a
+        # safety net (finish() is idempotent).
         for entry, result in zip(batch, results):
             self.queue.finish(entry.job_id, result.to_dict())
             self._wake_streams(entry.job_id)

@@ -8,7 +8,8 @@ submission survives a SIGKILL of the server. The server journals a
 acknowledging a submission; together with the scheduler's ``job_end``
 records that makes the journal a complete account of the namespace:
 
-* last ``job_end`` per job id (``load_ledger`` view) — the job's
+* last ``job_end`` per job id (the ``load_ledger`` view of
+  :func:`repro.runtime.ledger.fold_journal`) — the job's
   terminal record, replayed into the job table on boot;
 * ``job_submitted`` with no later ``job_end`` — work that was in
   flight (or queued) when the previous server died, re-enqueued on
@@ -31,8 +32,8 @@ import re
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.ledger import load_ledger
-from repro.runtime.telemetry import TelemetryLogger, iter_events
+from repro.runtime.ledger import fold_journal
+from repro.runtime.telemetry import TelemetryLogger
 
 #: Namespaces map to directory names; keep them boring and portable.
 _SAFE_NAMESPACE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -58,33 +59,22 @@ def scan_journal(
     excluded from ``terminal`` so the boot replay re-enqueues it
     instead of resurrecting the stale terminal record.
     """
-    submitted: Dict[str, Dict[str, Any]] = {}
-    last_submitted: Dict[str, int] = {}
-    last_end: Dict[str, int] = {}
-    for index, event in enumerate(iter_events(path)):
-        job_id = event.get("job_id")
-        if not job_id:
-            continue
-        name = event.get("event")
-        if name == "job_submitted" and event.get("spec"):
-            submitted[job_id] = event
-            last_submitted[job_id] = index
-        elif name == "job_end":
-            last_end[job_id] = index
+    fold = fold_journal(path)
     pending_ids = sorted(
         (
             job_id
-            for job_id in submitted
-            if last_submitted[job_id] > last_end.get(job_id, -1)
+            for job_id, index in fold.submitted_at.items()
+            if index > fold.ended_at.get(job_id, -1)
         ),
-        key=lambda job_id: last_submitted[job_id],
+        key=fold.submitted_at.__getitem__,
     )
+    waiting = set(pending_ids)
     terminal = {
         job_id: record
-        for job_id, record in load_ledger(path).items()
-        if record.get("spec") and job_id not in set(pending_ids)
+        for job_id, record in fold.ledger().items()
+        if record.get("spec") and job_id not in waiting
     }
-    pending = [submitted[job_id] for job_id in pending_ids]
+    pending = [fold.submitted[job_id] for job_id in pending_ids]
     return terminal, pending
 
 

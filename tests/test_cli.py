@@ -439,17 +439,3 @@ class TestTracing:
         # The table sorts by wall-clock, so near-equal tiny phases may
         # swap rows between runs: compare the (name, calls) multiset.
         assert sorted(traced) == sorted(plain)
-
-    def test_sweep_accepts_trace(self, capsys, tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
-        code = main(
-            ["sweep", "--grid", "fig5-rpl", "--limit", "1", "--serial",
-             "--max-iterations", "200", "--trace", trace]
-        )
-        assert code == 0
-        from repro.obs.analyze import load_trace
-
-        loaded = load_trace(trace)
-        names = [s["name"] for s in loaded.spans]
-        assert "sweep" in names
-        assert "job" in names

@@ -52,15 +52,6 @@ class TestTracer:
         names = [s["name"] for s in sink.spans]
         assert names == ["iteration", "run"]  # children emitted first
 
-    def test_detached_spans_skip_the_stack(self):
-        t = Tracer([InMemorySink()])
-        sweep = t.start_span("sweep")
-        job = t.start_span("job", detached=True, parent=sweep)
-        assert t.current is sweep
-        assert job.parent_id == sweep.span_id
-        t.end_span(job)
-        t.end_span(sweep)
-
     def test_finish_closes_stragglers_and_is_idempotent(self):
         sink = InMemorySink()
         t = Tracer([sink])

@@ -34,6 +34,11 @@ def _events(stream):
     return [json.loads(line) for line in stream.getvalue().splitlines() if line]
 
 
+def thrash_plan(directory):
+    """Every pooled execution dies; in-parent execution is spared."""
+    return [{"seam": "job", "kind": "crash", "dir": str(directory)}]
+
+
 class TestRegistry:
     def test_inert_without_plan(self):
         faults.maybe_inject("job", "anything")  # must be a no-op
@@ -148,9 +153,7 @@ class TestDegradation:
         # max_rebuilds the scheduler must fall back to in-parent
         # execution, where the (worker_only) fault is not armed, and
         # still finish the sweep.
-        faults.install_plan(
-            [{"seam": "job", "kind": "crash", "dir": str(tmp_path)}]
-        )
+        faults.install_plan(thrash_plan(tmp_path))
         specs = [_spec(), _spec("only-iso")]
         stream = io.StringIO()
         scheduler = Scheduler(

@@ -63,6 +63,127 @@ def _truncate_after_jobs(journal, kept, out):
     return out
 
 
+def write_retried_journal(path):
+    """A journal every fold view is pinned on; returns the specs (a, b, c).
+
+    ``a`` crashes, is retried, ends ``crashed`` and is re-submitted after
+    its ``job_end``; ``b`` and ``c`` finish. A killed writer's torn line
+    ends the file.
+    """
+    a, b, c = (
+        JobSpec("rpl", sizes={"n_a": 1}, problem={"tag": tag}, label=tag)
+        for tag in ("a", "b", "c")
+    )
+
+    def end(spec, ts, status, attempts=1):
+        result = JobResult(
+            spec.job_id, spec, status, attempts=attempts, duration=1.0
+        )
+        return dict(result.to_dict(), event="job_end", ts=ts)
+
+    def submitted(spec, ts):
+        return {"event": "job_submitted", "ts": ts, "job_id": spec.job_id,
+                "spec": spec.to_dict(), "priority": 0}
+
+    def start(spec, ts, attempt):
+        return {"event": "job_start", "ts": ts, "job_id": spec.job_id,
+                "label": spec.label, "attempt": attempt}
+
+    events = [
+        {"event": "sweep_start", "ts": 10.0, "jobs": 3, "workers": 2},
+        submitted(a, 10.1),
+        submitted(b, 10.2),
+        submitted(c, 10.3),
+        start(b, 11.0, 1),
+        start(a, 11.5, 1),
+        {"event": "job_retry", "ts": 12.0, "job_id": a.job_id,
+         "attempt": 1, "backoff": 0.25},
+        start(a, 12.5, 2),
+        end(b, 13.0, "optimal"),
+        end(a, 14.0, "crashed", attempts=2),
+        start(c, 14.5, 1),
+        end(c, 15.0, "optimal"),
+        submitted(a, 16.0),
+    ]
+    with open(path, "w", encoding="utf-8") as stream:
+        for event in events:
+            stream.write(json.dumps(event, sort_keys=True) + "\n")
+        stream.write('{"event": "job_start", "job_id": ')
+    return a, b, c
+
+
+class TestFoldViews:
+    """Pinned order of every view over one retried/re-submitted journal."""
+
+    def test_load_ledger(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        a, b, c = write_retried_journal(path)
+        with pytest.warns(TruncatedJournalWarning):
+            ledger = load_ledger(path)
+        assert list(ledger) == [b.job_id, a.job_id, c.job_id]
+        assert [r["status"] for r in ledger.values()] == [
+            "optimal", "crashed", "optimal",
+        ]
+        assert ledger[a.job_id]["attempts"] == 2
+        with pytest.warns(TruncatedJournalWarning):
+            assert list(completed_records(path)) == [b.job_id, c.job_id]
+
+    def test_sweep_timeline(self, tmp_path):
+        from repro.runtime.ledger import sweep_timeline
+
+        path = str(tmp_path / "j.jsonl")
+        a, b, c = write_retried_journal(path)
+        with pytest.warns(TruncatedJournalWarning):
+            timeline = sweep_timeline(path)
+        assert (timeline.origin, timeline.end) == (10.0, 16.0)
+        assert (timeline.total_jobs, timeline.workers) == (3, 2)
+        assert [
+            (l.label, l.start, l.end, l.status, l.attempts)
+            for l in timeline.jobs
+        ] == [
+            ("b", 11.0, 13.0, "optimal", 1),
+            ("a", 11.5, 14.0, "crashed", 2),
+            ("c", 14.5, 15.0, "optimal", 1),
+        ]
+        assert [(i.kind, i.ts, i.job_id) for i in timeline.incidents] == [
+            ("job_retry", 12.0, a.job_id),
+        ]
+        assert timeline.depth == [
+            (11.0, 1), (11.5, 2), (13.0, 1), (14.0, 0), (14.5, 1), (15.0, 0),
+        ]
+
+    def test_sweep_report(self, tmp_path):
+        from repro.runtime.sweep import SweepReport
+
+        path = str(tmp_path / "j.jsonl")
+        a, b, c = write_retried_journal(path)
+        with pytest.warns(TruncatedJournalWarning):
+            report = SweepReport.from_journal(path)
+        assert [r.job_id for r in report.results] == [
+            b.job_id, a.job_id, c.job_id,
+        ]
+        assert [r.status for r in report.results] == [
+            "optimal", "crashed", "optimal",
+        ]
+        assert report.wall_clock == pytest.approx(6.0)
+
+    def test_one_lane_per_job_ended_before_it_started(self, tmp_path):
+        # A job cancelled while queued ends without a start; run again
+        # later, it still draws one lane, placed at its first record.
+        from repro.runtime.ledger import sweep_timeline
+
+        path = str(tmp_path / "j.jsonl")
+        with TelemetryLogger(path) as log:
+            log.emit("job_end", job_id="a" * 40, status="cancelled")
+            log.emit("job_start", job_id="b" * 40)
+            log.emit("job_start", job_id="a" * 40)
+            log.emit("job_end", job_id="a" * 40, status="optimal")
+        lanes = sweep_timeline(path).jobs
+        assert [(l.job_id[0], l.status) for l in lanes] == [
+            ("a", "optimal"), ("b", "unfinished"),
+        ]
+
+
 class TestLoadLedger:
     def test_last_record_per_job_wins(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -10,9 +10,11 @@ import pytest
 
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.runtime import faults
 from repro.runtime.job import JobSpec
 from repro.runtime.scheduler import Scheduler, _Pending, default_workers
 from repro.runtime.telemetry import TelemetryLogger
+from tests.test_runtime.test_faults import thrash_plan
 
 
 def _tiny_specs(n=2):
@@ -23,8 +25,20 @@ def _tiny_specs(n=2):
             engine={"scenario": scenario, "max_iterations": 200},
             label=f"tiny {scenario}",
         )
-        for scenario in ["complete", "only-iso"][:n]
+        for scenario in ["complete", "only-iso", "only-decomp"][:n]
     ]
+
+
+def _events(stream):
+    return [json.loads(line) for line in stream.getvalue().splitlines() if line]
+
+
+def assert_one_end_per_result(stream, results):
+    """Every returned result has exactly one ``job_end``, same status."""
+    ends = [e for e in _events(stream) if e["event"] == "job_end"]
+    assert sorted(e["job_id"] for e in ends) == sorted(r.job_id for r in results)
+    journaled = {e["job_id"]: e["status"] for e in ends}
+    assert [journaled[r.job_id] for r in results] == [r.status for r in results]
 
 
 class TestSerial:
@@ -158,12 +172,6 @@ class TestBrokenBatchHarvest:
 class TestCancel:
     """Cross-thread cancellation retires jobs with one terminal record."""
 
-    @staticmethod
-    def _events(stream):
-        return [
-            json.loads(line) for line in stream.getvalue().splitlines() if line
-        ]
-
     def test_primed_cancel_serial_skips_execution(self):
         specs = _tiny_specs(2)
         stream = io.StringIO()
@@ -173,7 +181,7 @@ class TestCancel:
         scheduler.cancel(specs[0].job_id)
         results = scheduler.run(specs)
         assert [r.status for r in results] == ["cancelled", "optimal"]
-        events = self._events(stream)
+        events = _events(stream)
         ends = [e for e in events if e["event"] == "job_end"]
         assert [e["job_id"] for e in ends].count(specs[0].job_id) == 1
         # The cancelled job never started.
@@ -224,7 +232,7 @@ class TestCancel:
         # run() returned as soon as the cancel landed — it did not sit
         # out the multi-second backoff window.
         assert elapsed < 2.0
-        events = self._events(stream)
+        events = _events(stream)
         ends = [e for e in events if e["event"] == "job_end"]
         assert len(ends) == 1 and ends[0]["status"] == "cancelled"
         retries = [e for e in events if e["event"] == "job_retry"]
@@ -267,6 +275,8 @@ class TestTimeoutClock:
 
     def test_running_job_past_deadline_is_expired(self):
         scheduler = self._scheduler()
+        stream = io.StringIO()
+        scheduler.telemetry = TelemetryLogger(stream)
         future = concurrent.futures.Future()
         assert future.set_running_or_notify_cancel()
         pending = _Pending(_tiny_specs(1)[0], 1)
@@ -279,6 +289,125 @@ class TestTimeoutClock:
         (result,) = by_id.values()
         assert result.status == "timeout"
         assert "backstop" in result.error
+        # The incident, then the result's one terminal record.
+        events = _events(stream)
+        assert [e["event"] for e in events] == ["job_timeout", "job_end"]
+        assert events[0]["stage"] == "parent-backstop"
+        assert_one_end_per_result(stream, [result])
+
+
+class _StalledExecutor:
+    """Executor double whose futures never complete."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        return concurrent.futures.Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestOneEndPerResult:
+    """Each result ``run`` returns reaches the journal as one ``job_end``."""
+
+    def _scheduler(self, stream, **kwargs):
+        kwargs.setdefault("use_cache", False)
+        return Scheduler(telemetry=TelemetryLogger(stream), **kwargs)
+
+    def test_serial(self):
+        stream = io.StringIO()
+        results = self._scheduler(stream, serial=True).run(_tiny_specs())
+        assert_one_end_per_result(stream, results)
+        # Serial job_start events carry no pool fields.
+        starts = [e for e in _events(stream) if e["event"] == "job_start"]
+        assert all(set(e) == {"event", "ts", "job_id", "label"} for e in starts)
+
+    def test_pooled(self):
+        stream = io.StringIO()
+        results = self._scheduler(stream, max_workers=1).run(_tiny_specs())
+        assert [r.status for r in results] == ["optimal", "optimal"]
+        assert_one_end_per_result(stream, results)
+
+    def test_degraded(self, tmp_path):
+        faults.install_plan(thrash_plan(tmp_path))
+        stream = io.StringIO()
+        scheduler = self._scheduler(
+            stream,
+            max_workers=2,
+            retries=5,
+            max_rebuilds=1,
+            poll_interval=0.05,
+            backoff_base=0.02,
+        )
+        results = scheduler.run(_tiny_specs())
+        assert scheduler.degraded
+        assert_one_end_per_result(stream, results)
+
+    def test_ctrl_c(self, monkeypatch):
+        # The first poll harvests two finished jobs; Ctrl-C lands in the
+        # second, while the third is in flight.
+        stream = io.StringIO()
+        scheduler = self._scheduler(stream, max_workers=1)
+        monkeypatch.setattr(scheduler, "_new_executor", lambda: _FakeExecutor(0))
+        real_wait = concurrent.futures.wait
+        polls = []
+
+        def interrupted_wait(*args, **kwargs):
+            polls.append(1)
+            if len(polls) > 1:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.runtime.scheduler.concurrent.futures.wait", interrupted_wait
+        )
+        results = scheduler.run(_tiny_specs(3))
+        assert [r.status for r in results] == ["optimal", "optimal", "cancelled"]
+        assert_one_end_per_result(stream, results)
+        (cancelled,) = [
+            e for e in _events(stream) if e["event"] == "sweep_cancelled"
+        ]
+        assert cancelled["completed"] == 2
+
+    def test_ctrl_c_serial(self, monkeypatch):
+        # Ctrl-C inside the second in-process job: the first keeps its
+        # result, the interrupted one and the one behind it are cancelled.
+        from repro.runtime import scheduler as scheduler_module
+
+        stream = io.StringIO()
+        real_run_job = scheduler_module.run_job
+        calls = []
+
+        def interrupted_run_job(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise KeyboardInterrupt
+            return real_run_job(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_job", interrupted_run_job)
+        results = self._scheduler(stream, serial=True).run(_tiny_specs(3))
+        assert [r.status for r in results] == ["optimal", "cancelled", "cancelled"]
+        assert_one_end_per_result(stream, results)
+
+    def test_ctrl_c_with_nothing_finished(self, monkeypatch):
+        stream = io.StringIO()
+        scheduler = self._scheduler(stream, max_workers=1)
+        executor = _StalledExecutor()
+        monkeypatch.setattr(scheduler, "_new_executor", lambda: executor)
+
+        def interrupted_wait(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            "repro.runtime.scheduler.concurrent.futures.wait", interrupted_wait
+        )
+        results = scheduler.run(_tiny_specs(3))
+        assert executor.submitted == 2  # two in flight, one still queued
+        assert [r.status for r in results] == ["cancelled"] * 3
+        assert_one_end_per_result(stream, results)
 
 
 class TestTimeout:

@@ -66,7 +66,16 @@ def _spawn(data_dir, stall=False):
         if port is not None and resumed is not None:
             return process, port, resumed
     process.kill()
+    _reap(process)
     pytest.fail(f"server never became ready; output: {lines!r}")
+
+
+def _reap(process):
+    """Wait for a stopped server and close its stdout pipe."""
+    try:
+        process.wait(timeout=10)
+    finally:
+        process.stdout.close()
 
 
 def _tiny_spec(scenario="complete") -> JobSpec:
@@ -95,7 +104,7 @@ def test_sigkill_then_restart_resumes_namespace_ledger(tmp_path):
         )
     finally:
         os.kill(process.pid, signal.SIGKILL)
-        process.wait(timeout=10)
+        _reap(process)
 
     journal = os.path.join(data_dir, "ci", "journal.jsonl")
     events = [e["event"] for e in read_events(journal)]
@@ -112,7 +121,7 @@ def test_sigkill_then_restart_resumes_namespace_ledger(tmp_path):
         # re-running, and the journal stays at exactly one job_end.
     finally:
         process.terminate()
-        process.wait(timeout=10)
+        _reap(process)
 
     ends = [e for e in read_events(journal) if e["event"] == "job_end"]
     assert len(ends) == 1
@@ -132,7 +141,7 @@ def test_sigkill_then_restart_resumes_namespace_ledger(tmp_path):
         assert client.submit(spec, namespace="ci")["created"] is False
     finally:
         process.terminate()
-        process.wait(timeout=10)
+        _reap(process)
 
     assert len(
         [e for e in read_events(journal) if e["event"] == "job_end"]

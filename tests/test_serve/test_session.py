@@ -7,9 +7,12 @@ ordering cases — especially a re-submission journaled after a crashed
 terminal record — are the regressions for the resume path.
 """
 
+import pytest
+
 from repro.runtime.job import JobSpec
-from repro.runtime.telemetry import TelemetryLogger
+from repro.runtime.telemetry import TelemetryLogger, TruncatedJournalWarning
 from repro.serve.session import scan_journal
+from tests.test_runtime.test_ledger import write_retried_journal
 
 
 def _spec(tag: str) -> JobSpec:
@@ -125,3 +128,35 @@ def test_pending_ordered_by_operative_submission(tmp_path):
     )
     _, pending = scan_journal(str(path))
     assert [e["job_id"] for e in pending] == [b.job_id, a.job_id]
+
+
+def test_retried_journal_order_is_pinned(tmp_path):
+    # b and c finished, a crashed and was re-submitted after its
+    # job_end; boot replays b, c and re-enqueues a. The torn last line
+    # is skipped with a warning.
+    path = str(tmp_path / "journal.jsonl")
+    a, b, c = write_retried_journal(path)
+    with pytest.warns(TruncatedJournalWarning):
+        terminal, pending = scan_journal(path)
+    assert list(terminal) == [b.job_id, c.job_id]
+    assert [r["status"] for r in terminal.values()] == ["optimal", "optimal"]
+    assert [(e["job_id"], e["ts"]) for e in pending] == [(a.job_id, 16.0)]
+
+
+def test_backstop_timeout_is_terminal(tmp_path):
+    # The parent-side backstop journals a job_timeout incident and then
+    # the job_end: a restarted server replays it instead of re-running.
+    spec = _spec("wedged")
+    path = tmp_path / "journal.jsonl"
+    _write_journal(
+        path,
+        [
+            _submitted(spec),
+            ("job_timeout", {"job_id": spec.job_id, "after": 1.0,
+                             "stage": "parent-backstop"}),
+            _end(spec, "timeout"),
+        ],
+    )
+    terminal, pending = scan_journal(str(path))
+    assert pending == []
+    assert terminal[spec.job_id]["status"] == "timeout"
