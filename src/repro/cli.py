@@ -130,12 +130,11 @@ def _spec_from_args(case: str, args, **engine) -> "JobSpec":
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default="scipy",
-        choices=["scipy", "native"],
-        help="MILP backend (default scipy/HiGHS)",
-    )
+    from repro.runtime.job import BACKEND
+
+    # Specs record the one MILP route, so their job ids stay those of
+    # the runs that once chose it with a --backend flag.
+    parser.set_defaults(backend=BACKEND)
     parser.add_argument(
         "--max-iterations", type=int, default=2000, help="iteration cap"
     )
@@ -772,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a job to a running `repro serve` instance",
         description="Build a JobSpec from a case's size and problem flags "
-        "and the engine flags --backend, --no-isomorphism, "
+        "and the engine flags --no-isomorphism, "
         "--no-decomposition, --max-iterations and --time-limit (or read "
         "any JobSpec from --spec) and POST it to the server. "
         "--wait/--stream block until the job is terminal; with --json "

@@ -15,7 +15,7 @@ from repro.exceptions import ContractError
 from repro.expr.constraints import Formula, Or, TRUE
 from repro.expr.terms import Number, Var
 from repro.expr.transform import negate, substitute
-from repro.solver.feasibility import DEFAULT_BACKEND, check_sat
+from repro.solver.feasibility import check_sat
 
 
 class Contract:
@@ -80,15 +80,15 @@ class Contract:
 
     # -- semantic checks -------------------------------------------------------
 
-    def is_consistent(self, backend: str = DEFAULT_BACKEND) -> bool:
+    def is_consistent(self) -> bool:
         """A contract is consistent iff it admits an implementation,
         i.e. ``G or not A`` is satisfiable."""
-        return bool(check_sat(self.saturate().guarantees, backend=backend))
+        return bool(check_sat(self.saturate().guarantees))
 
-    def is_compatible(self, backend: str = DEFAULT_BACKEND) -> bool:
+    def is_compatible(self) -> bool:
         """A contract is compatible iff it admits an environment,
         i.e. ``A`` is satisfiable."""
-        return bool(check_sat(self.assumptions, backend=backend))
+        return bool(check_sat(self.assumptions))
 
     # -- misc ----------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.contracts.contract import Contract
 from repro.expr.constraints import And, Formula
 from repro.expr.terms import Var
 from repro.expr.transform import negate
-from repro.solver.feasibility import DEFAULT_BACKEND, check_sat
+from repro.solver.feasibility import check_sat
 
 
 class RefinementFailure(enum.Enum):
@@ -96,7 +96,6 @@ def refinement_queries(
 def check_refinement(
     concrete: Contract,
     abstract: Contract,
-    backend: str = DEFAULT_BACKEND,
     check_assumptions: bool = True,
     saturate_concrete: bool = True,
     oracle=None,
@@ -127,14 +126,12 @@ def check_refinement(
         check_assumptions=check_assumptions,
         saturate_concrete=saturate_concrete,
     ):
-        sat = check_sat(query, backend=backend, oracle=oracle)
+        sat = check_sat(query, oracle=oracle)
         if sat:
             return RefinementResult(False, failure, sat.assignment)
     return RefinementResult(True)
 
 
-def refines(
-    concrete: Contract, abstract: Contract, backend: str = DEFAULT_BACKEND
-) -> bool:
+def refines(concrete: Contract, abstract: Contract) -> bool:
     """Boolean form of :func:`check_refinement`."""
-    return bool(check_refinement(concrete, abstract, backend=backend))
+    return bool(check_refinement(concrete, abstract))

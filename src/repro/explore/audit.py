@@ -204,14 +204,11 @@ def audit_architecture(
     mapping_template: MappingTemplate,
     specification: Specification,
     candidate: CandidateArchitecture,
-    backend: str = "scipy",
 ) -> ArchitectureAudit:
     """Audit ``candidate`` against every system-level requirement."""
     entries: List[AuditEntry] = []
     paths = _candidate_paths(candidate, mapping_template)
-    checker = RefinementChecker(
-        mapping_template, specification, backend=backend
-    )
+    checker = RefinementChecker(mapping_template, specification)
 
     for spec in specification.viewpoint_specs:
         if isinstance(spec, TimingSpec) and math.isfinite(spec.max_latency):

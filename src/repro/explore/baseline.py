@@ -47,7 +47,7 @@ from repro.expr.constraints import Formula, Implies, conjunction
 from repro.expr.terms import LinExpr
 from repro.graph.paths import all_source_sink_paths
 from repro.obs.trace import Tracer
-from repro.solver.feasibility import get_backend
+from repro.solver import scipy_backend
 from repro.solver.result import SolveStatus
 from repro.spec.base import Specification
 from repro.spec.flow import FlowSpec
@@ -57,7 +57,6 @@ from repro.spec.timing import TimingSpec
 def lazy_nogood_explorer(
     mapping_template: MappingTemplate,
     specification: Specification,
-    backend: str = "scipy",
     max_iterations: int = 2000,
     time_limit: Optional[float] = None,
 ) -> ContrArcExplorer:
@@ -65,7 +64,6 @@ def lazy_nogood_explorer(
     return ContrArcExplorer(
         mapping_template,
         specification,
-        backend=backend,
         use_isomorphism=False,
         use_decomposition=False,
         widen_implementations=False,
@@ -103,14 +101,10 @@ class MonolithicExplorer:
     """ArchEx-style one-shot MILP over the full problem."""
 
     def __init__(
-        self,
-        mapping_template: MappingTemplate,
-        specification: Specification,
-        backend: str = "scipy",
+        self, mapping_template: MappingTemplate, specification: Specification
     ) -> None:
         self.mapping_template = mapping_template
         self.specification = specification
-        self.backend = backend
 
     # -- system constraint compilation ------------------------------------------
 
@@ -183,7 +177,7 @@ class MonolithicExplorer:
         tracer = Tracer()
         stats = ExplorationStats()
         record = IterationRecord(1)
-        with tracer.span("run", backend=self.backend) as run:
+        with tracer.span("run") as run:
             with _charge_phases(record, tracer.metrics):
                 with tracer.phase("matrix_build"):
                     model = build_candidate_milp(
@@ -193,7 +187,7 @@ class MonolithicExplorer:
                         name="monolithic",
                     )
                 with tracer.phase("milp_solve"):
-                    solve_result = get_backend(self.backend)(model)
+                    solve_result = scipy_backend.solve(model)
             stats.milp_variables = model.num_variables
             stats.milp_constraints = model.num_constraints
             stats.record(record)

@@ -102,7 +102,6 @@ class CompositionalExplorer:
     def __init__(
         self,
         stages: List[SubsystemStage],
-        backend: str = "scipy",
         use_isomorphism: bool = True,
         use_decomposition: bool = True,
         max_iterations: int = 1000,
@@ -113,7 +112,6 @@ class CompositionalExplorer:
         if len(set(names)) != len(names):
             raise ExplorationError(f"duplicate stage names: {names}")
         self.stages = list(stages)
-        self.backend = backend
         self.use_isomorphism = use_isomorphism
         self.use_decomposition = use_decomposition
         self.max_iterations = max_iterations
@@ -136,7 +134,6 @@ class CompositionalExplorer:
                     result = ContrArcExplorer(
                         mapping_template,
                         specification,
-                        backend=self.backend,
                         use_isomorphism=self.use_isomorphism,
                         use_decomposition=self.use_decomposition,
                         max_iterations=self.max_iterations,

@@ -41,7 +41,6 @@ extends in place either way.
 from __future__ import annotations
 
 import enum
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
 
@@ -59,9 +58,8 @@ from repro.obs.trace import Tracer
 # Not called here (cuts are deduplicated on their row keys), but
 # benchmarks/harness/layers.py patches this module's ``formula_key``.
 from repro.runtime.keys import formula_key  # noqa: F401
-from repro.solver import branch_bound
+from repro.solver import scipy_backend
 from repro.solver.encoder import FormulaEncoder
-from repro.solver.feasibility import get_backend
 from repro.solver.model import Model
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.session import IncrementalSession
@@ -169,7 +167,6 @@ class ContrArcExplorer:
         self,
         mapping_template: MappingTemplate,
         specification: Specification,
-        backend: str = "scipy",
         use_isomorphism: bool = True,
         use_decomposition: bool = True,
         widen_implementations: bool = True,
@@ -188,9 +185,9 @@ class ContrArcExplorer:
         #: refinement queries and candidate-MILP solves from cache —
         #: the warm-start seam of the batch runtime.
         self.oracle = oracle
-        #: Reuse solver state across iterations (persistent HiGHS
-        #: instance / warm-started native branch-and-bound). Results are
-        #: identical either way; see repro.solver.session.
+        #: Reuse solver state across iterations (one persistent HiGHS
+        #: instance). Results are identical either way; see
+        #: repro.solver.session.
         self.incremental = incremental
         #: Dependency-sliced verification carrying (see
         #: :mod:`repro.explore.incremental`). Defaults to following
@@ -215,12 +212,10 @@ class ContrArcExplorer:
         if max_iterations < 1:
             raise ExplorationError("max_iterations must be at least 1")
         #: Wall-clock budget in seconds; exploration stops with
-        #: TIME_LIMIT when exceeded. It is checked between iterations,
-        #: and a native solve stops at the run's deadline.
+        #: TIME_LIMIT when exceeded. It is checked between iterations.
         self.time_limit = time_limit
         self.mapping_template = mapping_template
         self.specification = specification
-        self.backend = backend
         self.use_isomorphism = use_isomorphism
         self.use_decomposition = use_decomposition
         self.widen_implementations = widen_implementations
@@ -240,7 +235,6 @@ class ContrArcExplorer:
         self.checker = RefinementChecker(
             mapping_template,
             specification,
-            backend=backend,
             decompose=use_decomposition,
             check_assumptions=check_assumptions,
             oracle=checker_oracle,
@@ -281,24 +275,16 @@ class ContrArcExplorer:
         last_violation: Optional[Violation] = None
         with tracer.span(
             "run",
-            backend=self.backend,
             use_isomorphism=self.use_isomorphism,
             use_decomposition=self.use_decomposition,
             incremental=self.incremental,
             multicut=self.multicut,
         ) as run:
-            # The budget's end for the solver, which stops a native
-            # search once it passes.
-            deadline = (
-                None
-                if self.time_limit is None
-                else time.monotonic() + self.time_limit
-            )
             # The contract encoding never changes across iterations; build
             # it once and keep appending certificate constraints to it.
             model = build_candidate_milp(self.mapping_template, self.specification)
             cut_encoder = FormulaEncoder(model, prefix="cut")
-            solve = self._candidate_solver(model, tracer, deadline)
+            solve = self._candidate_solver(model, tracer)
             for index in range(1, self.max_iterations + 1):
                 if (
                     self.time_limit is not None
@@ -338,13 +324,6 @@ class ContrArcExplorer:
                     if solve_result.status is SolveStatus.INFEASIBLE:
                         stats.record(record)
                         status = ExplorationStatus.INFEASIBLE
-                        break
-                    if (
-                        solve_result.status is SolveStatus.ITERATION_LIMIT
-                        and deadline is not None
-                        and time.monotonic() >= deadline
-                    ):
-                        status = ExplorationStatus.TIME_LIMIT
                         break
                     if solve_result.status is not SolveStatus.OPTIMAL:
                         raise ExplorationError(
@@ -461,35 +440,23 @@ class ContrArcExplorer:
         return ExplorationResult(status, architectures, stats, cuts, last_violation)
 
     def _candidate_solver(
-        self, model: Model, tracer: Tracer, deadline: Optional[float]
+        self, model: Model, tracer: Tracer
     ) -> Callable[[Model], SolveResult]:
         """Problem 2's solve function, memoized by the oracle if any.
 
         An incremental session times its own ``matrix_build`` /
-        ``milp_solve`` split; a stateless backend's whole call, oracle
-        lookup included, is one ``milp_solve`` phase. ``deadline`` (a
-        :func:`time.monotonic` instant) goes to the native search, with
-        or without a session.
+        ``milp_solve`` split; a stateless solve's whole call, oracle
+        lookup included, is one ``milp_solve`` phase.
         """
-        incremental = self.incremental and self.backend in ("scipy", "native")
-        if incremental:
-            session = IncrementalSession(
-                model, backend=self.backend, deadline=deadline
-            )
+        if self.incremental:
+            session = IncrementalSession(model)
             session.tracer = tracer
             solve = session.as_solver()
-        elif self.backend == "native":
-
-            def solve(model: Model) -> SolveResult:
-                return branch_bound.solve_matrix(
-                    model.to_matrix_form(), deadline=deadline
-                )
-
         else:
-            solve = get_backend(self.backend)
+            solve = scipy_backend.solve
         if self.oracle is not None:
-            solve = self.oracle.wrap_solver(self.backend, solve)
-        if incremental:
+            solve = self.oracle.wrap_solver("scipy", solve)
+        if self.incremental:
             return solve
 
         def timed(model: Model) -> SolveResult:

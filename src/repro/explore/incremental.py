@@ -29,8 +29,8 @@ produced cuts, costs and iteration trajectories are bit-identical to
 scratch verification (pinned by
 ``tests/test_explore/test_incremental_verification.py``).
 
-Fingerprints deliberately exclude the solver backend and
-``check_assumptions`` flag: a delta instance belongs to exactly one
+Fingerprints deliberately exclude the ``check_assumptions`` flag: a
+delta instance belongs to exactly one
 :class:`~repro.explore.refinement_check.RefinementChecker`, whose
 configuration is fixed for its lifetime.
 """

@@ -102,7 +102,6 @@ class RefinementChecker:
         self,
         mapping_template: MappingTemplate,
         specification: Specification,
-        backend: str = "scipy",
         decompose: bool = True,
         check_assumptions: bool = False,
         oracle=None,
@@ -110,7 +109,6 @@ class RefinementChecker:
     ) -> None:
         self.mapping_template = mapping_template
         self.specification = specification
-        self.backend = backend
         self.decompose = decompose
         #: Optional memoizing oracle (see
         #: :class:`repro.runtime.oracle.OracleCache`); forwarded to every
@@ -232,7 +230,6 @@ class RefinementChecker:
         return check_refinement(
             check.composed,
             check.system,
-            backend=self.backend,
             check_assumptions=self.check_assumptions,
             saturate_concrete=False,
             oracle=self.oracle,

@@ -52,15 +52,21 @@ _BOUND_EXPLORER_ARGS = (
 )
 
 
+#: The one value ``JobSpec.engine["backend"]`` accepts. scipy/HiGHS is
+#: the only MILP route; specs record it, not the explorer, so specs
+#: that carry it keep their job ids.
+BACKEND = "scipy"
+
+
 @lru_cache(maxsize=None)
 def engine_keys() -> FrozenSet[str]:
-    """The keys ``JobSpec.engine`` accepts: ``scenario`` plus every
-    :class:`~repro.explore.engine.ContrArcExplorer` keyword a job may
-    set."""
+    """The keys ``JobSpec.engine`` accepts: ``scenario``, ``backend``
+    and every :class:`~repro.explore.engine.ContrArcExplorer` keyword a
+    job may set."""
     from repro.explore.engine import ContrArcExplorer
 
     params = inspect.signature(ContrArcExplorer.__init__).parameters
-    return frozenset(params) - set(_BOUND_EXPLORER_ARGS) | {"scenario"}
+    return frozenset(params) - set(_BOUND_EXPLORER_ARGS) | {"scenario", "backend"}
 
 
 class JobSpec:
@@ -78,8 +84,9 @@ class JobSpec:
         demands, budgets).
     engine:
         :class:`~repro.explore.engine.ContrArcExplorer` constructor
-        overrides (``use_isomorphism``, ``backend``,
-        ``max_iterations``, ``time_limit``, ...).
+        overrides (``use_isomorphism``, ``max_iterations``,
+        ``time_limit``, ...), plus ``scenario`` and ``backend``
+        (:data:`BACKEND` only; recorded, not passed on).
     label:
         Free-form display label; excluded from the job id.
     """
@@ -112,6 +119,11 @@ class JobSpec:
             raise ExplorationError(
                 f"unknown engine option(s): {sorted(unknown)}; "
                 f"available: {sorted(engine_keys())}"
+            )
+        if self.engine.get("backend", BACKEND) != BACKEND:
+            raise ExplorationError(
+                f"engine option 'backend' accepts only {BACKEND!r}, "
+                f"not {self.engine['backend']!r}"
             )
         self.label = label or self.default_label()
 
@@ -174,8 +186,10 @@ class JobSpec:
         return builders[self.case](**kwargs)
 
     def engine_kwargs(self) -> Dict[str, Any]:
-        """Explorer constructor kwargs, with ``scenario`` expanded."""
+        """Explorer constructor kwargs, with ``scenario`` expanded and
+        ``backend`` left out."""
         kwargs = dict(self.engine)
+        kwargs.pop("backend", None)
         scenario = kwargs.pop("scenario", None)
         if scenario is not None:
             if scenario not in SCENARIOS:

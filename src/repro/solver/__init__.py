@@ -1,4 +1,5 @@
-"""MILP substrate: model container, encoders, and solver backends."""
+"""MILP substrate: model container, encoders, the scipy/HiGHS backend
+and the reference branch-and-bound that cross-checks it."""
 
 from repro.solver.model import ConstraintSense, LinearConstraint, MatrixForm, Model
 from repro.solver.result import SolveResult, SolveStatus
@@ -13,7 +14,6 @@ from repro.solver.feasibility import (
 )
 from repro.solver import branch_bound, scipy_backend, simplex
 from repro.solver.session import IncrementalSession
-from repro.solver.presolve import PresolveResult, PresolveStatus, presolve
 from repro.solver.diagnostics import find_iis, summarize_iis
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "scipy_backend",
     "simplex",
     "IncrementalSession",
-    "PresolveResult",
-    "PresolveStatus",
-    "presolve",
     "find_iis",
     "summarize_iis",
 ]

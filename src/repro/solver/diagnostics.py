@@ -14,17 +14,18 @@ prefixes) make the result directly interpretable.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.exceptions import SolverError
+from repro.solver import scipy_backend
 from repro.solver.model import LinearConstraint, Model
-from repro.solver.result import SolveResult, SolveStatus
+from repro.solver.result import SolveStatus
 
 
-def _is_feasible(model: Model, solve: Callable[[Model], SolveResult]) -> bool:
+def _is_feasible(model: Model) -> bool:
     probe = model.copy("iis-probe")
     probe.set_objective(probe.objective * 0.0)
-    result = solve(probe)
+    result = scipy_backend.solve(probe)
     if result.status is SolveStatus.OPTIMAL:
         return True
     if result.status is SolveStatus.INFEASIBLE:
@@ -35,9 +36,7 @@ def _is_feasible(model: Model, solve: Callable[[Model], SolveResult]) -> bool:
 
 
 def find_iis(
-    model: Model,
-    backend: str = "scipy",
-    max_constraints: Optional[int] = None,
+    model: Model, max_constraints: Optional[int] = None
 ) -> List[LinearConstraint]:
     """Return an irreducible infeasible subset of ``model``'s constraints.
 
@@ -45,10 +44,7 @@ def find_iis(
     ``max_constraints`` aborts early once the kept set exceeds the given
     size (diagnosis budgets for very large models).
     """
-    from repro.solver.feasibility import get_backend
-
-    solve = get_backend(backend)
-    if _is_feasible(model, solve):
+    if _is_feasible(model):
         raise SolverError("model is feasible; nothing to diagnose")
 
     kept: List[LinearConstraint] = list(model.constraints)
@@ -60,7 +56,7 @@ def find_iis(
             probe.add_variable(var)
         for constraint in trial:
             probe.add_constraint(constraint)
-        if _is_feasible(probe, solve):
+        if _is_feasible(probe):
             index += 1  # constraint is necessary for infeasibility
         else:
             kept = trial  # still infeasible without it: drop
@@ -80,13 +76,9 @@ def summarize_iis(constraints: List[LinearConstraint]) -> str:
     return "\n".join(lines)
 
 
-def diagnose_infeasible_exploration(
-    mapping_template,
-    specification,
-    backend: str = "scipy",
-) -> str:
+def diagnose_infeasible_exploration(mapping_template, specification) -> str:
     """Build the Problem-2 MILP and explain why no candidate exists."""
     from repro.explore.encoding import build_candidate_milp
 
     model = build_candidate_milp(mapping_template, specification)
-    return summarize_iis(find_iis(model, backend=backend))
+    return summarize_iis(find_iis(model))

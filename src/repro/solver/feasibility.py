@@ -5,6 +5,11 @@ over conjunctions of contract predicates and negated predicates. We
 discharge each query by encoding the formula into a feasibility MILP
 (objective 0) and asking a backend whether it admits a solution — the
 role Gurobi plays in the original tool chain.
+
+Every query the pipeline sends goes to the scipy/HiGHS backend. The
+``backend`` argument exists for tests: the other name in
+:data:`BACKENDS` routes a query to the reference branch-and-bound, an
+independent check on HiGHS's verdicts.
 """
 
 from __future__ import annotations

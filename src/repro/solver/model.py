@@ -2,8 +2,9 @@
 
 A :class:`Model` holds decision variables, linear constraints in the
 canonical form ``lhs SENSE rhs`` with a :class:`repro.expr.terms.LinExpr`
-left-hand side, and a linear objective. Backends (native branch & bound,
-scipy/HiGHS) consume models through :meth:`Model.to_matrix_form`.
+left-hand side, and a linear objective. Solvers (scipy/HiGHS and the
+reference branch-and-bound) consume models through
+:meth:`Model.to_matrix_form`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """MILP backend on the HiGHS solver that scipy vendors.
 
-This is the default backend — the stand-in for the Gurobi interface the
-paper used. It consumes the same :class:`repro.solver.model.MatrixForm`
-as the native branch-and-bound backend, so the two are interchangeable.
+This is the one MILP route of the pipeline — the stand-in for the
+Gurobi interface the paper used for both the candidate MILP (Problem 2)
+and the refinement queries (Problem 3). It consumes the same
+:class:`repro.solver.model.MatrixForm` as the reference
+branch-and-bound (:mod:`repro.solver.branch_bound`), which tests use to
+cross-check its verdicts.
 
 :func:`highs_lp` is the one place a :class:`MatrixForm` becomes a HiGHS
 model; :func:`solve_matrix` and the persistent session

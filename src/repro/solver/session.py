@@ -5,38 +5,29 @@ only mutation between solves is appended certificate cuts: the few the
 last candidate violated, or, once a candidate violates a pooled cut,
 the whole lazy cut pool at once (:mod:`repro.explore.cut_pool`). Either
 way rows are only appended, never removed.
-A stateless backend pays the full model-construction cost every time:
+A stateless solve pays the full model-construction cost every time:
 :func:`repro.solver.scipy_backend.solve_matrix` loads the whole matrix
-form into a fresh HiGHS instance, and the native branch-and-bound
-restarts its search from nothing.
+form into a fresh HiGHS instance.
 
-:class:`IncrementalSession` keeps per-model solver state alive across
-those solves:
-
-* **scipy backend** — one vendored HiGHS instance
-  (``scipy.optimize._highspy``) receives the model once via
-  ``passModel`` (built by :func:`repro.solver.scipy_backend.highs_lp`,
-  the backend's one form-to-HiGHS builder) and afterwards only
-  ``addVars``/``addRows`` calls for the appended cut variables/rows,
-  read from the CSR blocks that ``Model.to_matrix_form`` extends
-  append-only. Along an append-only chain
-  the optimum is monotone non-decreasing (rows only shrink the feasible
-  set and appended columns carry zero objective), so the previous
-  optimal value is replayed as HiGHS's ``objective_target``:
-  branch-and-cut stops at the first incumbent matching the plateau value
-  instead of re-proving the dual bound. Any non-append mutation falls
-  back to a full ``passModel`` rebuild (which also clears the target),
-  and if the vendored module is missing the session degrades to per-call
-  ``scipy.optimize.milp``. The session keeps HiGHS's default options:
-  the stateless backend switches the feasibility-jump heuristic off, but
-  only for zero-objective feasibility queries. Switching it off for the
-  candidate MILP changes which tied optimum HiGHS returns; RPL(3,3) then
-  takes 19 iterations and 7,776 cuts instead of 18 and 7,290.
-* **native backend** — a :class:`repro.solver.branch_bound.WarmStart`
-  carries the incumbent pool, pseudo-costs and root LP basis between
-  iterations. It reads the same append-only ``Model.to_matrix_form``;
-  :func:`repro.solver.branch_bound.solve_matrix` expands it for its
-  dense-tableau simplex.
+:class:`IncrementalSession` keeps one vendored HiGHS instance
+(``scipy.optimize._highspy``) alive across those solves. It receives
+the model once via ``passModel`` (built by
+:func:`repro.solver.scipy_backend.highs_lp`, the backend's one
+form-to-HiGHS builder) and afterwards only ``addVars``/``addRows`` calls
+for the appended cut variables/rows, read from the CSR blocks that
+``Model.to_matrix_form`` extends append-only. Along an append-only chain
+the optimum is monotone non-decreasing (rows only shrink the feasible
+set and appended columns carry zero objective), so the previous optimal
+value is replayed as HiGHS's ``objective_target``: branch-and-cut stops
+at the first incumbent matching the plateau value instead of re-proving
+the dual bound. Any non-append mutation falls back to a full
+``passModel`` rebuild (which also clears the target), and if the
+vendored module is missing the session degrades to per-call
+``scipy.optimize.milp``. The session keeps HiGHS's default options: the
+stateless backend switches the feasibility-jump heuristic off, but only
+for zero-objective feasibility queries. Switching it off for the
+candidate MILP changes which tied optimum HiGHS returns; RPL(3,3) then
+takes 19 iterations and 7,776 cuts instead of 18 and 7,290.
 
 Sessions affect *how fast* a solve finishes, never its result: the
 regression suite pins incremental-vs-scratch equality, and cache keys
@@ -50,9 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.exceptions import SolverError
 from repro.obs.trace import Tracer
-from repro.solver import branch_bound, scipy_backend
+from repro.solver import scipy_backend
 from repro.solver.model import CsrRows, MatrixForm, Model, Snapshot
 from repro.solver.result import SolveResult, SolveStatus
 
@@ -69,21 +59,11 @@ class IncrementalSession:
     Each solve opens two phase spans on :attr:`tracer`: model-sync work
     is ``matrix_build`` and the solver run is ``milp_solve``.
 
-    ``time_limit`` caps each scipy-backend solve. ``deadline`` (a
-    :func:`time.monotonic` instant) ends the native branch-and-bound's
-    search once passed, with a limit status; the exploration engine
-    passes its run's deadline here.
+    ``time_limit`` caps each solve.
     """
 
-    def __init__(
-        self,
-        model: Model,
-        backend: str = "scipy",
-        time_limit: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> None:
+    def __init__(self, model: Model, time_limit: Optional[float] = None) -> None:
         self.model = model
-        self.backend = backend
         self.time_limit = time_limit
         #: The :class:`repro.obs.trace.Tracer` timing each solve; the
         #: exploration engine binds its run's tracer here.
@@ -93,18 +73,11 @@ class IncrementalSession:
         #: HiGHS every solve is a fresh ``milp`` run, so a rebuild.
         self.appends = 0
         self.rebuilds = 0
-        if backend == "scipy":
-            self._impl: Optional[_BackendSession] = (
-                _HighsSession(time_limit)
-                if scipy_backend._highs_core is not None
-                else None
-            )
-        elif backend == "native":
-            self._impl = _NativeSession(deadline)
-        else:
-            raise SolverError(
-                f"unknown solver backend {backend!r} for IncrementalSession"
-            )
+        self._impl: Optional[_HighsSession] = (
+            _HighsSession(time_limit)
+            if scipy_backend._highs_core is not None
+            else None
+        )
 
     def solve(self) -> SolveResult:
         """Solve the bound model, reusing solver state where possible."""
@@ -146,54 +119,19 @@ class IncrementalSession:
         the session and anything else (defensive case — the exploration
         loop only ever passes one model) through the stateless backend.
         This keeps the oracle seam unchanged:
-        ``oracle.wrap_solver(backend, session.as_solver())`` caches on
-        ``model_key`` exactly as it would around a plain backend.
+        ``oracle.wrap_solver("scipy", session.as_solver())`` caches on
+        ``model_key`` exactly as it would around the plain backend.
         """
-        from repro.solver.feasibility import get_backend
 
         def solve(model: Model) -> SolveResult:
             if model is self.model:
                 return self.solve()
-            return get_backend(self.backend)(model)
+            return scipy_backend.solve(model)
 
         return solve
 
 
-class _BackendSession:
-    """Interface for backend-specific session state."""
-
-    #: True when the most recent sync reused state via pure appends.
-    last_was_append = False
-
-    def sync(self, model: Model) -> None:
-        raise NotImplementedError
-
-    def solve(self, model: Model) -> SolveResult:
-        raise NotImplementedError
-
-
-class _NativeSession(_BackendSession):
-    """Warm-started native branch-and-bound."""
-
-    def __init__(self, deadline: Optional[float] = None) -> None:
-        self._deadline = deadline
-        self._warm = branch_bound.WarmStart()
-        self._started = False
-        self._form = None
-
-    def sync(self, model: Model) -> None:
-        # Model caches the form and extends it append-only.
-        self.last_was_append = self._started
-        self._started = True
-        self._form = model.to_matrix_form()
-
-    def solve(self, model: Model) -> SolveResult:
-        return branch_bound.solve_matrix(
-            self._form, warm=self._warm, deadline=self._deadline
-        )
-
-
-class _HighsSession(_BackendSession):
+class _HighsSession:
     """One long-lived HiGHS instance fed by passModel + addVars/addRows.
 
     After the initial ``passModel``, the rows appended to the model's
@@ -214,6 +152,9 @@ class _HighsSession(_BackendSession):
     #: incumbent is optimal to within this absolute error (well inside
     #: HiGHS's own default 1e-4 relative MIP gap).
     _TARGET_TOL = 1e-6
+
+    #: True when the most recent sync reused state via pure appends.
+    last_was_append = False
 
     def __init__(self, time_limit: Optional[float] = None) -> None:
         h = scipy_backend._highs_core._Highs()

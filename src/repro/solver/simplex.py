@@ -1,17 +1,16 @@
 """Two-phase dense simplex for linear programs.
 
-This is the LP engine behind the native branch-and-bound backend. It is
-deliberately a straightforward tableau implementation (numpy dense,
-Dantzig pricing with a Bland fallback for anti-cycling) — robust and
-easy to audit rather than fast. Production-size solves go through the
-scipy/HiGHS backend; this solver exists so the whole pipeline can run
-without any external optimizer, mirroring how the paper's pipeline would
-look without Gurobi.
+This is the LP engine behind the reference branch-and-bound
+(:mod:`repro.solver.branch_bound`). It is deliberately a straightforward
+tableau implementation (numpy dense, Dantzig pricing with a Bland
+fallback for anti-cycling) — robust and easy to audit rather than fast.
+Every solve the pipeline runs goes through the scipy/HiGHS backend;
+this solver gives tests a route to the same answers that shares no code
+with HiGHS.
 
-The entry point is :func:`solve_lp`, which takes the matrix data of a
-:class:`repro.solver.branch_bound.DenseForm` (minimization,
-``A_ub x <= b_ub``, ``A_eq x = b_eq``, box bounds) and returns a
-status/solution pair.
+The entry point is :func:`solve_lp`, which takes dense matrix data
+(minimization, ``A_ub x <= b_ub``, ``A_eq x = b_eq``, box bounds) and
+returns a status/solution pair.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ _PIVOT_TOL = 1e-10
 class LPSolution:
     """Raw LP outcome in the original variable space."""
 
-    __slots__ = ("status", "x", "objective", "iterations", "basic_vars")
+    __slots__ = ("status", "x", "objective", "iterations")
 
     def __init__(
         self,
@@ -38,15 +37,11 @@ class LPSolution:
         x: Optional[np.ndarray],
         objective: Optional[float],
         iterations: int,
-        basic_vars: Optional[List[int]] = None,
     ) -> None:
         self.status = status
         self.x = x
         self.objective = objective
         self.iterations = iterations
-        #: Original-variable indices that were basic at termination —
-        #: the warm-start hint consumed by the next solve's ``prefer``.
-        self.basic_vars = basic_vars
 
 
 def solve_lp(
@@ -58,18 +53,8 @@ def solve_lp(
     lower: np.ndarray,
     upper: np.ndarray,
     max_iterations: int = 20000,
-    prefer: Optional[np.ndarray] = None,
 ) -> LPSolution:
-    """Minimize ``c @ x`` subject to the given constraints and box bounds.
-
-    ``prefer`` is an optional boolean mask over the original variables:
-    columns flagged in it are chosen first among eligible entering
-    columns (negative reduced cost). Passing the basic set of a previous,
-    closely-related solve steers the pivot sequence back toward that
-    basis — a crash heuristic that cuts iteration counts when rows were
-    merely appended. Any mask is safe: eligibility is still decided by
-    the reduced costs, so the result is unaffected.
-    """
+    """Minimize ``c @ x`` subject to the given constraints and box bounds."""
     n = len(c)
     c = np.asarray(c, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -213,13 +198,6 @@ def solve_lp(
     total_cols = tableau_a.shape[1]
     iterations = 0
 
-    prefer_std: Optional[np.ndarray] = None
-    if prefer is not None and np.any(prefer):
-        prefer_std = np.zeros(total_cols, dtype=bool)
-        for k, (_, j) in enumerate(col_map):
-            if prefer[j]:
-                prefer_std[k] = True
-
     def run_simplex(obj: np.ndarray, allowed: np.ndarray) -> Optional[str]:
         """Run simplex on the current (tableau_a, b, basis) in place.
 
@@ -247,14 +225,6 @@ def solve_lp(
                 enter = int(np.argmin(reduced))
                 if reduced[enter] >= -_TOL:
                     return None
-                if prefer_std is not None:
-                    # Steer toward hinted columns whenever one is
-                    # eligible; the most negative hinted column is as
-                    # valid an entering choice as the global argmin.
-                    pref = np.where(prefer_std, reduced, np.inf)
-                    best_pref = int(np.argmin(pref))
-                    if pref[best_pref] < -_TOL:
-                        enter = best_pref
             col = tableau_a[:, enter]
             positive = col > _PIVOT_TOL
             if not positive.any():
@@ -326,11 +296,7 @@ def solve_lp(
             x[j] += y[k]
         else:
             x[j] -= y[k]
-    objective = float(c @ x)
-    basic_vars = sorted(
-        {col_map[col][1] for col in basis if col < n_std}
-    )
-    return LPSolution(SolveStatus.OPTIMAL, x, objective, iterations, basic_vars)
+    return LPSolution(SolveStatus.OPTIMAL, x, float(c @ x), iterations)
 
 
 def _pivot(a: np.ndarray, b: np.ndarray, row: int, col: int) -> None:

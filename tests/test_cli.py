@@ -28,6 +28,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rpl", "--backend", "gurobi"])
 
+    @pytest.mark.parametrize("value", ["native", "scipy"])
+    def test_backend_flag_retired(self, capsys, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["rpl", "--backend", value])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_rpl_run(self, capsys, tmp_path):
@@ -358,7 +364,7 @@ class TestTracing:
              "--trace", trace, "--trace-format", "chrome"]
         )
         assert code == 0
-        document = json.loads(open(trace).read())
+        document = json.loads((tmp_path / "trace.json").read_text())
         assert document["traceEvents"]
         assert all(e["ph"] == "X" for e in document["traceEvents"])
 
@@ -380,7 +386,7 @@ class TestTracing:
                      "--trace", trace]) == 0
         capsys.readouterr()
         assert main(["obs", trace, "--html", out]) == 0
-        page = open(out, encoding="utf-8").read()
+        page = (tmp_path / "dash.html").read_text(encoding="utf-8")
         assert page.startswith("<!DOCTYPE html>")
         assert 'id="waterfall"' in page
         assert "https://" not in page  # self-contained, no CDN
@@ -394,7 +400,7 @@ class TestTracing:
         ) == 0
         capsys.readouterr()
         assert main(["obs", "--sweep", journal, "--html", out]) == 0
-        page = open(out, encoding="utf-8").read()
+        page = (tmp_path / "fleet.html").read_text(encoding="utf-8")
         assert 'id="sweep"' in page
         assert 'id="fleet-svg"' in page
         # Text fleet summary without --html.

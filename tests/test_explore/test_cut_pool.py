@@ -2,7 +2,8 @@
 
 The exploration loop keeps emitted certificate cuts in a
 :class:`~repro.explore.cut_pool.CutPool` until a candidate violates one.
-Pinned here, per case study and backend:
+Pinned here, per case study, and on RPL(1,1) also without scipy's
+vendored HiGHS binding (every solve a ``scipy.optimize.milp`` run):
 
 * the returned architecture satisfies every emitted cut, pooled or not;
 * re-solving the Problem-2 MILP from scratch with *every* emitted cut
@@ -22,48 +23,54 @@ from repro.casestudies import epn, rpl, wsn
 from repro.explore.cut_pool import CutPool
 from repro.explore.encoding import Cut, build_candidate_milp
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
+from repro.solver import scipy_backend
 from repro.solver.encoder import FormulaEncoder
 from repro.solver.feasibility import get_backend
 
+#: ``(name, builder, milp_fallback)``.
 CASES = [
-    ("rpl(1,1)", lambda: rpl.build_problem(1, 1), "scipy"),
-    ("rpl(2,2)", lambda: rpl.build_problem(2, 2), "scipy"),
-    ("epn(1,0,0)", lambda: epn.build_problem(1, 0, 0), "scipy"),
-    ("epn(2,1,0)", lambda: epn.build_problem(2, 1, 0), "scipy"),
-    ("epn(1,1,1)", lambda: epn.build_problem(1, 1, 1), "scipy"),
-    ("wsn(1,1,1)", lambda: wsn.build_problem(1, 1, 1), "scipy"),
-    ("rpl(1,1) native", lambda: rpl.build_problem(1, 1), "native"),
+    ("rpl(1,1)", lambda: rpl.build_problem(1, 1), False),
+    ("rpl(2,2)", lambda: rpl.build_problem(2, 2), False),
+    ("epn(1,0,0)", lambda: epn.build_problem(1, 0, 0), False),
+    ("epn(2,1,0)", lambda: epn.build_problem(2, 1, 0), False),
+    ("epn(1,1,1)", lambda: epn.build_problem(1, 1, 1), False),
+    ("wsn(1,1,1)", lambda: wsn.build_problem(1, 1, 1), False),
+    ("rpl(1,1) scipy-fallback", lambda: rpl.build_problem(1, 1), True),
 ]
 
 _RUNS = {}
 
 
-def _run(name, builder, backend):
+def _run(name, builder, milp_fallback):
     if name not in _RUNS:
         mapping_template, specification = builder()
-        result = ContrArcExplorer(
-            mapping_template,
-            specification,
-            backend=backend,
-            max_iterations=2000,
-            profile=True,
-        ).explore()
+        with pytest.MonkeyPatch.context() as patch:
+            if milp_fallback:
+                patch.setattr(scipy_backend, "_highs_core", None)
+            result = ContrArcExplorer(
+                mapping_template,
+                specification,
+                max_iterations=2000,
+                profile=True,
+            ).explore()
         _RUNS[name] = (result, mapping_template, specification)
     return _RUNS[name]
 
 
-@pytest.mark.parametrize("name,builder,backend", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize(
+    "name,builder,milp_fallback", CASES, ids=[c[0] for c in CASES]
+)
 class TestLazyActivationIsSound:
-    def test_architecture_satisfies_every_emitted_cut(self, name, builder, backend):
-        result, _, _ = _run(name, builder, backend)
+    def test_architecture_satisfies_every_emitted_cut(self, name, builder, milp_fallback):
+        result, _, _ = _run(name, builder, milp_fallback)
         assert result.status is ExplorationStatus.OPTIMAL
         assert result.cuts
         values = result.architecture.structural_assignment()
         violated = [cut for cut in result.cuts if not cut.formula.evaluate(values)]
         assert violated == []
 
-    def test_full_cut_set_has_the_same_optimum(self, name, builder, backend):
-        result, mapping_template, specification = _run(name, builder, backend)
+    def test_full_cut_set_has_the_same_optimum(self, name, builder, milp_fallback):
+        result, mapping_template, specification = _run(name, builder, milp_fallback)
         model = build_candidate_milp(mapping_template, specification)
         encoder = FormulaEncoder(model, prefix="cut")
         for cut in result.cuts:
@@ -72,8 +79,8 @@ class TestLazyActivationIsSound:
         assert solved.is_optimal
         assert solved.objective == pytest.approx(result.cost)
 
-    def test_pool_flushes_at_most_once(self, name, builder, backend):
-        result, _, _ = _run(name, builder, backend)
+    def test_pool_flushes_at_most_once(self, name, builder, milp_fallback):
+        result, _, _ = _run(name, builder, milp_fallback)
         solves = result.stats.phase_profile["counts"]["milp_solve"]
         assert result.stats.num_iterations <= solves
         assert solves <= result.stats.num_iterations + 1

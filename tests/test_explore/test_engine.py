@@ -111,44 +111,35 @@ class TestEdgeOutcomes:
         with pytest.raises(ExplorationError, match="converge"):
             explorer.explore_or_raise()
 
-    def test_native_solve_stops_at_the_run_deadline(self, problem, monkeypatch):
-        """A native candidate solve still running at the run's deadline
-        ends the run with TIME_LIMIT, not an error or a hang."""
+    @pytest.mark.parametrize("incremental", [True, False], ids=["session", "stateless"])
+    def test_run_stops_at_its_time_limit(self, problem, monkeypatch, incremental):
+        """A run whose time budget has passed ends with TIME_LIMIT before
+        its next candidate solve, not with an error or a hang."""
         import time
 
         import repro.explore.engine as engine
 
         mt, spec = problem
         shift = [0.0]
-        monotonic = time.monotonic
-        monkeypatch.setattr(time, "monotonic", lambda: monotonic() + shift[0])
+        perf_counter = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: perf_counter() + shift[0])
         build = engine.build_candidate_milp
 
         def build_then_jump(*args):
-            # The deadline is set by now; from here on it has passed.
+            # The run has started by now; from here on its budget is spent.
             shift[0] = 7200.0
             return build(*args)
 
         monkeypatch.setattr(engine, "build_candidate_milp", build_then_jump)
-        result = ContrArcExplorer(
-            mt, spec, backend="native", time_limit=3600.0
-        ).explore()
+        explorer = ContrArcExplorer(
+            mt, spec, incremental=incremental, time_limit=3600.0
+        )
+        result = explorer.explore()
         assert result.status is ExplorationStatus.TIME_LIMIT
         assert result.stats.num_iterations == 0
-
-    def test_stateless_native_solve_stops_at_the_run_deadline(self):
-        """Without an incremental session the native search still stops
-        at the run's deadline (after at most one more node LP): RPL(2,2)
-        would otherwise run for minutes."""
-        import time
-
-        mt, spec = rpl.build_problem(2, 2)
-        started = time.monotonic()
-        result = ContrArcExplorer(
-            mt, spec, backend="native", incremental=False, time_limit=2
-        ).explore()
-        assert result.status is ExplorationStatus.TIME_LIMIT
-        assert time.monotonic() - started < 20
+        shift[0] = 0.0
+        with pytest.raises(ExplorationError, match="3600s time budget"):
+            explorer.explore_or_raise()
 
     def test_bad_max_iterations(self, problem):
         mt, spec = problem

@@ -20,6 +20,7 @@ from repro.explore.encoding import build_candidate_milp
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
 from repro.explore.refinement_check import RefinementChecker
 from repro.runtime.oracle import OracleCache
+from repro.solver import scipy_backend
 from repro.solver.feasibility import get_backend
 from repro.solver.session import IncrementalSession
 
@@ -27,21 +28,20 @@ RPL_GRID = [1, 2]
 EPN_GRID = [(1, 0, 0), (1, 1, 0)]
 
 
-def _explore(builder, incremental, backend="scipy"):
+def _explore(builder, incremental):
     mapping_template, specification = builder()
     result = ContrArcExplorer(
         mapping_template,
         specification,
-        backend=backend,
         incremental=incremental,
         max_iterations=2000,
     ).explore()
     return result, mapping_template, specification
 
 
-def _assert_equivalent(builder, backend="scipy"):
-    incremental, mt_inc, spec_inc = _explore(builder, True, backend)
-    scratch, mt_scr, spec_scr = _explore(builder, False, backend)
+def _assert_equivalent(builder):
+    incremental, mt_inc, spec_inc = _explore(builder, True)
+    scratch, mt_scr, spec_scr = _explore(builder, False)
     assert incremental.status is ExplorationStatus.OPTIMAL
     assert scratch.status is ExplorationStatus.OPTIMAL
     assert incremental.cost == pytest.approx(scratch.cost)
@@ -66,10 +66,11 @@ class TestIncrementalMatchesScratch:
     def test_epn_grid(self, template):
         _assert_equivalent(lambda: epn.build_problem(*template))
 
-    def test_native_backend(self):
-        _assert_equivalent(
-            lambda: rpl.build_problem(1, deadline=46.0), backend="native"
-        )
+    def test_milp_fallback(self, monkeypatch):
+        """Without scipy's vendored HiGHS binding the session re-solves
+        from scratch with ``scipy.optimize.milp``; answers stay put."""
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        _assert_equivalent(lambda: rpl.build_problem(1, deadline=46.0))
 
 
 class TestOracleKeysUnchangedBySessionReuse:
@@ -85,7 +86,7 @@ class TestOracleKeysUnchangedBySessionReuse:
 
     def test_session_and_backend_hash_to_same_keys(self):
         via_session, cost_session = self._keys_observed(
-            lambda model: IncrementalSession(model, backend="scipy").as_solver()
+            lambda model: IncrementalSession(model).as_solver()
         )
         via_backend, cost_backend = self._keys_observed(
             lambda model: get_backend("scipy")
@@ -97,7 +98,7 @@ class TestOracleKeysUnchangedBySessionReuse:
         mapping_template, specification = epn.build_problem(1, 0, 0)
         model = build_candidate_milp(mapping_template, specification)
         cache = OracleCache()
-        session = IncrementalSession(model, backend="scipy")
+        session = IncrementalSession(model)
         solve = cache.wrap_solver("scipy", session.as_solver())
         first = solve(model)
         second = solve(model)

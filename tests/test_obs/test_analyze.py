@@ -124,7 +124,7 @@ class TestRenderReport:
         path = str(tmp_path / "trace.json")
         _record_sample(ChromeTraceSink(path))
         # sanity: the file really is a chrome document
-        assert "traceEvents" in json.loads(open(path).read())
+        assert "traceEvents" in json.loads((tmp_path / "trace.json").read_text())
         report = render_report(load_trace(path), top=3)
         assert "Per-phase totals" in report
 

@@ -113,7 +113,7 @@ class TestChromeTraceSink:
                 with t.span("iteration", index=1):
                     pass
             t.metrics.counter("hits")
-        document = json.loads(open(path).read())
+        document = json.loads((tmp_path / "trace.json").read_text())
         assert set(document) == {"traceEvents", "displayTimeUnit", "otherData"}
         events = document["traceEvents"]
         assert len(events) == 2

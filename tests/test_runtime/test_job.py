@@ -19,7 +19,9 @@ class TestJobSpec:
         assert base.job_id != JobSpec("rpl", sizes={"n_a": 1}).job_id
         assert (
             base.job_id
-            != JobSpec("epn", sizes={"left": 1}, engine={"backend": "native"}).job_id
+            != JobSpec(
+                "epn", sizes={"left": 1}, engine={"use_isomorphism": False}
+            ).job_id
         )
 
     def test_dict_roundtrip(self):
@@ -121,6 +123,20 @@ class TestEngineKeyValidation:
         with pytest.raises(ExplorationError, match=key):
             JobSpec.from_dict({"case": "rpl", "engine": {key: 2}})
 
+    @pytest.mark.parametrize("value", ["native", "gurobi", None])
+    def test_backend_other_than_scipy_rejected_naming_it(self, value):
+        with pytest.raises(ExplorationError, match="'backend'"):
+            JobSpec("rpl", engine={"backend": value})
+
+    def test_scipy_backend_keeps_its_job_id(self):
+        spec = JobSpec(
+            "rpl",
+            sizes={"n_a": 1, "n_b": 0},
+            engine={"backend": "scipy", "max_iterations": 200},
+        )
+        assert spec.engine["backend"] == "scipy"
+        assert spec.job_id == "1162622827e8bf3b"
+
     @pytest.mark.parametrize("key", ["oracle", "tracer", "mapping_template"])
     def test_keys_the_job_supplies_itself_rejected(self, key):
         with pytest.raises(ExplorationError, match=key):
@@ -132,13 +148,13 @@ class TestEngineKeyValidation:
             sizes={"n_a": 1, "n_b": 0},
             engine={
                 "scenario": "only-iso",
-                "backend": "native",
+                "backend": "scipy",
                 "max_iterations": 100,
                 "incremental": False,
                 "multicut": False,
             },
         )
         explorer = spec.make_explorer()
-        assert explorer.backend == "native"
+        assert "backend" not in spec.engine_kwargs()
         assert explorer.use_decomposition is False
         assert explorer.multicut is False

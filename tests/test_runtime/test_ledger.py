@@ -51,12 +51,13 @@ def _truncate_after_jobs(journal, kept, out):
     kept-th job_end, then a half-written line (died mid-``write``)."""
     lines = []
     ends = 0
-    for line in open(journal, encoding="utf-8"):
-        if ends >= kept:
-            break
-        lines.append(line)
-        if json.loads(line).get("event") == "job_end":
-            ends += 1
+    with open(journal, encoding="utf-8") as stream:
+        for line in stream:
+            if ends >= kept:
+                break
+            lines.append(line)
+            if json.loads(line).get("event") == "job_end":
+                ends += 1
     with open(out, "w", encoding="utf-8") as stream:
         stream.writelines(lines)
         stream.write('{"event": "job_end", "job_id": "c3a9, ')

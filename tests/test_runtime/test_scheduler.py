@@ -50,9 +50,10 @@ class TestSerial:
         assert all(r.duration > 0 for r in results)
 
     def test_worker_exception_becomes_error_record(self, monkeypatch):
-        # Sabotage the problem builder so the worker's own try/except
-        # (not the scheduler) reports the failure.
-        specs = [JobSpec("rpl", sizes={"n_a": 1}, engine={"backend": "bogus"})]
+        # A scenario is only resolved when the worker builds the
+        # explorer, so the worker's own try/except (not the scheduler)
+        # reports the failure.
+        specs = [JobSpec("rpl", sizes={"n_a": 1}, engine={"scenario": "bogus"})]
         results = Scheduler(serial=True, use_cache=False).run(specs)
         assert results[0].status == "error"
         assert "bogus" in results[0].error

@@ -87,6 +87,25 @@ class TestSubmitAndPoll:
         # The spec was refused before its namespace was even opened.
         assert not os.path.exists(os.path.join(server.store.data_dir, "ci"))
 
+    def test_retired_backend_is_400_and_leaves_the_journal(
+        self, idle_client, idle_server
+    ):
+        idle_client.submit(_tiny_spec(), namespace="ci")
+        journal = os.path.join(idle_server.store.data_dir, "ci", "journal.jsonl")
+        with open(journal, "rb") as stream:
+            before = stream.read()
+        spec = _tiny_spec().to_dict()
+        spec["engine"]["backend"] = "native"
+        with pytest.raises(ServeError) as excinfo:
+            idle_client._request(
+                "POST", "/jobs", {"spec": spec, "namespace": "ci"}
+            )
+        assert excinfo.value.status == 400
+        assert "'backend'" in str(excinfo.value)
+        assert idle_server.queue.depth() == 1
+        with open(journal, "rb") as stream:
+            assert stream.read() == before
+
     def test_invalid_namespace_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
             client._request(

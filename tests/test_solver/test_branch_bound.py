@@ -1,6 +1,4 @@
-"""Tests for the native branch-and-bound MILP backend."""
-
-import time
+"""Tests for the reference branch-and-bound MILP solver."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from repro.expr.terms import binary, continuous, integer
 from repro.solver import branch_bound, scipy_backend
 from repro.solver.model import Model
 from repro.solver.result import SolveStatus
-from repro.solver.session import IncrementalSession
 
 
 class TestSmallMILPs:
@@ -143,6 +140,73 @@ class TestAgainstScipyBackend:
             assert ours.objective == pytest.approx(ref.objective, abs=1e-5)
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_equality_programs(self, seed):
+        """Integer programs with EQ rows, the shape HiGHS's presolve has
+        been seen to mishandle (see ``scipy_backend.solve_matrix``)."""
+        rng = np.random.default_rng(100 + seed)
+        n = 5
+        xs = [integer(f"e{i}", 0, 3) for i in range(n)]
+        model = Model()
+        for _ in range(2):
+            coeffs = rng.integers(-2, 4, size=n)
+            expr = sum((int(coeffs[i]) * xs[i] for i in range(n)), start=xs[0] * 0)
+            model.add_le(expr, int(rng.integers(3, 9)))
+        eq = rng.integers(0, 3, size=n)
+        model.add_eq(
+            sum((int(eq[i]) * xs[i] for i in range(n)), start=xs[0] * 0),
+            int(rng.integers(1, 6)),
+        )
+        cost = rng.integers(-4, 5, size=n)
+        model.set_objective(
+            sum((int(cost[i]) * xs[i] for i in range(n)), start=xs[0] * 0)
+        )
+        ours = branch_bound.solve(model)
+        ref = scipy_backend.solve(model)
+        assert ours.status == ref.status
+        if ours.status is SolveStatus.OPTIMAL:
+            assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
+            assert model.is_feasible(ours.assignment)
+
+
+@pytest.fixture
+def solve_route(request, monkeypatch):
+    """A stateless solve function: the reference branch-and-bound, the
+    scipy backend, or the scipy backend without the vendored HiGHS
+    binding (each solve a ``scipy.optimize.milp`` run)."""
+    if request.param == "native":
+        return branch_bound.solve
+    if request.param == "scipy-fallback":
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+    return scipy_backend.solve
+
+
+ROUTES = ["native", "scipy", "scipy-fallback"]
+
+
+@pytest.mark.parametrize("solve_route", ROUTES, indirect=True)
+class TestInfeasibilityAgreement:
+    def test_impossible_row(self, solve_route):
+        # Four binaries cannot sum to five.
+        bs = [binary(f"ir{i}") for i in range(4)]
+        m = Model()
+        m.add_ge(sum((b for b in bs), start=bs[0] * 0), 5)
+        m.set_objective(sum((b for b in bs), start=bs[0] * 0))
+        assert solve_route(m).status is SolveStatus.INFEASIBLE
+
+    def test_rows_crossing_through_propagation(self, solve_route):
+        # x + y >= 7 forces y >= 3, which y - 2z <= 0 lifts to z >= 1.5
+        # on a binary z.
+        x = integer("cx", 0, 4)
+        y = integer("cy", 0, 4)
+        z = binary("cz")
+        m = Model()
+        m.add_ge(x + y, 7)
+        m.add_le(y - 2 * z, 0)
+        m.set_objective(x + y)
+        assert solve_route(m).status is SolveStatus.INFEASIBLE
+
+
 def _multi_knapsack(n: int = 20, seed: int = 7) -> Model:
     """Three-row 0/1 knapsack that branch-and-bound needs ~50 nodes for."""
     rng = np.random.default_rng(seed)
@@ -161,29 +225,40 @@ def _multi_knapsack(n: int = 20, seed: int = 7) -> Model:
     return m
 
 
-class TestDeadline:
-    def test_expired_deadline_stops_before_the_first_node(self):
+class TestNodeLimit:
+    def test_zero_node_budget_stops_before_the_first_node(self):
         form = _multi_knapsack().to_matrix_form()
         assert branch_bound.solve_matrix(form).iterations > 10
-        result = branch_bound.solve_matrix(form, deadline=time.monotonic() - 1.0)
+        result = branch_bound.solve_matrix(form, max_nodes=0)
         assert result.status is SolveStatus.ITERATION_LIMIT
         assert result.iterations == 0
         assert result.assignment == {}
 
-    def test_future_deadline_changes_nothing(self):
+    def test_ample_node_budget_changes_nothing(self):
         form = _multi_knapsack().to_matrix_form()
         free = branch_bound.solve_matrix(form)
-        bounded = branch_bound.solve_matrix(form, deadline=time.monotonic() + 3600)
+        bounded = branch_bound.solve_matrix(form, max_nodes=free.iterations)
         assert (bounded.status, bounded.objective, bounded.iterations) == (
             free.status,
             free.objective,
             free.iterations,
         )
-
-    def test_native_session_passes_its_deadline(self):
-        model = _multi_knapsack()
-        expired = IncrementalSession(
-            model, backend="native", deadline=time.monotonic() - 1.0
+        assert free.objective == pytest.approx(
+            -scipy_backend.solve(_multi_knapsack()).objective
         )
-        assert expired.solve().status is SolveStatus.ITERATION_LIMIT
-        assert IncrementalSession(model, backend="native").solve().is_optimal
+
+
+class TestMostFractional:
+    def test_integral_point_has_no_branch_variable(self):
+        x = np.array([0.0, 1.0, 3.0 + 1e-9])
+        assert branch_bound._most_fractional(x, np.ones(3, dtype=bool)) is None
+
+    def test_picks_the_variable_farthest_from_an_integer(self):
+        x = np.array([0.2, 1.45, 2.9])
+        assert branch_bound._most_fractional(x, np.ones(3, dtype=bool)) == 1
+
+    def test_continuous_variables_are_never_branched_on(self):
+        x = np.array([0.5, 1.25, 2.0])
+        mask = np.array([False, True, True])
+        assert branch_bound._most_fractional(x, mask) == 1
+        assert branch_bound._most_fractional(x, np.zeros(3, dtype=bool)) is None

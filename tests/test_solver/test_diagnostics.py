@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.expr.terms import continuous
+from repro.solver import scipy_backend
 from repro.solver.diagnostics import (
     diagnose_infeasible_exploration,
     find_iis,
@@ -36,23 +37,22 @@ class TestFindIIS:
         with pytest.raises(SolverError, match="feasible"):
             find_iis(m)
 
-    def test_works_with_native_backend(self):
-        iis = find_iis(_conflicting_model(), backend="native")
+    def test_works_without_vendored_highs(self, monkeypatch):
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        iis = find_iis(_conflicting_model())
         assert {c.name for c in iis} == {"x-cap", "x-floor"}
 
     def test_iis_is_irreducible(self):
         iis = find_iis(_conflicting_model())
         # Removing any single member makes the rest feasible.
-        from repro.solver.feasibility import get_backend
         from repro.solver.diagnostics import _is_feasible
 
-        solve = get_backend("scipy")
         for skip in range(len(iis)):
             probe = Model("check")
             for i, constraint in enumerate(iis):
                 if i != skip:
                     probe.add_constraint(constraint)
-            assert _is_feasible(probe, solve)
+            assert _is_feasible(probe)
 
 
 class TestSummaries:

@@ -100,8 +100,8 @@ def _recording_highs(base, loads):
 
 class TestRecordedRefinementQueries:
     """Every query two small explorations send to the oracle, replayed
-    on the native branch-and-bound: an independent route to each
-    HiGHS verdict."""
+    on the reference branch-and-bound (``backend="native"``): an
+    independent route to each HiGHS verdict."""
 
     @pytest.fixture(scope="class")
     def recorded(self):
@@ -137,13 +137,44 @@ class TestRecordedRefinementQueries:
                 assert spec.make_explorer().explore().is_optimal
         return list(queries.values()), loads
 
-    def test_scipy_and_native_verdicts_agree(self, recorded):
+    @pytest.fixture(scope="class")
+    def answers(self, recorded):
+        """Each recorded query with its answer on both routes."""
         queries, _ = recorded
-        assert len(queries) > 50
-        for formula in queries:
-            scipy_sat = bool(check_sat(formula, backend="scipy"))
-            native_sat = bool(check_sat(formula, backend="native"))
-            assert scipy_sat == native_sat, formula
+        return [
+            (formula, check_sat(formula), check_sat(formula, backend="native"))
+            for formula in queries
+        ]
+
+    def test_scipy_and_native_verdicts_agree(self, answers):
+        assert len(answers) > 50
+        for formula, scipy_sat, native_sat in answers:
+            assert bool(scipy_sat) == bool(native_sat), formula
+
+    def test_sat_witnesses_satisfy_the_formula(self, answers):
+        """Checked by evaluation alone, with no solver in the loop."""
+        witnesses = [
+            (formula, result.assignment)
+            for formula, *results in answers
+            for result in results
+            if result
+        ]
+        assert witnesses
+        for formula, assignment in witnesses:
+            assert formula.evaluate(assignment), formula
+
+    @pytest.mark.skipif(
+        scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
+    )
+    def test_milp_fallback_verdicts_agree(self, answers, monkeypatch):
+        """The ``scipy.optimize.milp`` route of the scipy backend, used
+        where scipy vendors no HiGHS binding, gives the same verdicts."""
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        for formula, scipy_sat, _ in answers:
+            fallback = check_sat(formula)
+            assert bool(fallback) == bool(scipy_sat), formula
+            if fallback:
+                assert formula.evaluate(fallback.assignment), formula
 
     @pytest.mark.skipif(
         scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"

@@ -172,3 +172,61 @@ class TestMilpFallback:
         direct = [bool(check_sat(f)) for f in (sat, unsat)]
         monkeypatch.setattr(scipy_backend, "_highs_core", None)
         assert [bool(check_sat(f)) for f in (sat, unsat)] == direct == [True, False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_programs_match_highs(self, seed, monkeypatch):
+        """Mixed programs with LE and EQ rows: the ``milp`` route gives
+        the vendored route's status and optimum."""
+        rng = np.random.default_rng(200 + seed)
+        ints = [integer(f"mi{k}", 0, 4) for k in range(3)]
+        conts = [continuous(f"mc{k}", 0, 4) for k in range(2)]
+        all_vars = ints + conts
+        model = Model()
+        for _ in range(3):
+            coeffs = rng.integers(-2, 4, size=5)
+            model.add_le(
+                sum((int(coeffs[i]) * all_vars[i] for i in range(5)),
+                    start=all_vars[0] * 0),
+                int(rng.integers(2, 9)),
+            )
+        model.add_eq(ints[0] + ints[1] - conts[0], float(rng.integers(0, 4)))
+        cost = rng.integers(-3, 4, size=5)
+        model.set_objective(
+            sum((int(cost[i]) * all_vars[i] for i in range(5)),
+                start=all_vars[0] * 0)
+        )
+        direct = scipy_backend.solve(model)
+        monkeypatch.setattr(scipy_backend, "_highs_core", None)
+        fallback = scipy_backend.solve(model)
+        assert fallback.status is direct.status
+        if direct.is_optimal:
+            assert fallback.objective == pytest.approx(direct.objective, abs=1e-6)
+            assert model.is_feasible(fallback.assignment)
+
+
+class TestSolveErrorRetry:
+    def test_error_is_retried_once_with_presolve_off(self, monkeypatch):
+        """A HiGHS "Solve error" with presolve on is answered by one
+        presolve-off run, whose result is returned."""
+        run = (
+            scipy_backend._run_highs
+            if scipy_backend._highs_core is not None
+            else scipy_backend._run_milp
+        )
+        expected = scipy_backend.solve(_small_milp())
+        calls = []
+
+        def flaky(form, time_limit, presolve):
+            calls.append(presolve)
+            if presolve:
+                return SolveStatus.ERROR, None, "Solve error"
+            return run(form, time_limit, presolve)
+
+        monkeypatch.setattr(scipy_backend, "_run_highs", flaky)
+        monkeypatch.setattr(scipy_backend, "_run_milp", flaky)
+        result = scipy_backend.solve(_small_milp())
+        assert calls == [True, False]
+        assert (result.status, result.objective) == (
+            expected.status,
+            expected.objective,
+        )

@@ -9,10 +9,9 @@ and solving through a session leaves the model's mathematical content
 
 import pytest
 
-from repro.exceptions import SolverError
+from repro.expr.terms import binary, continuous
 from repro.runtime.keys import model_key
 from repro.solver import scipy_backend
-from repro.solver.feasibility import get_backend
 from repro.solver.model import Model
 from repro.solver.session import IncrementalSession
 from repro.solver.result import SolveStatus
@@ -65,18 +64,16 @@ def _fingerprint(result):
 #: Session routes under test. ``scipy-fallback`` is the scipy backend
 #: without the vendored HiGHS binding (as on scipy < 1.15), where each
 #: solve is a fresh ``scipy.optimize.milp`` run.
-ROUTES = ["scipy", "scipy-fallback", "native"]
+ROUTES = ["scipy", "scipy-fallback"]
 
 
 @pytest.fixture
-def backend(request, monkeypatch):
-    """The backend name of the ``route`` parameter, with the vendored
-    binding hidden for ``scipy-fallback``."""
-    route = request.param
-    if route == "scipy-fallback":
+def route(request, monkeypatch):
+    """The route parameter, with the vendored binding hidden for
+    ``scipy-fallback``."""
+    if request.param == "scipy-fallback":
         monkeypatch.setattr(scipy_backend, "_highs_core", None)
-        return "scipy"
-    return route
+    return request.param
 
 
 #: ``(route, growth)`` inputs of :class:`TestSessionEquality`: every
@@ -92,22 +89,21 @@ EQUALITY_CASES = [pytest.param(route, _grow, id=route) for route in ROUTES] + [
 ]
 
 
-@pytest.mark.parametrize("backend, grow", EQUALITY_CASES, indirect=["backend"])
+@pytest.mark.parametrize("route, grow", EQUALITY_CASES, indirect=["route"])
 class TestSessionEquality:
-    def test_matches_stateless_solve_across_appends(self, backend, grow):
+    def test_matches_stateless_solve_across_appends(self, route, grow):
         model = _knapsack_model()
-        session = IncrementalSession(model, backend=backend)
-        stateless = get_backend(backend)
+        session = IncrementalSession(model)
         for step in range(4):
             incremental = session.solve()
-            scratch = stateless(model)
+            scratch = scipy_backend.solve(model)
             assert incremental.status is SolveStatus.OPTIMAL
             assert _fingerprint(incremental) == _fingerprint(scratch)
             grow(model, step)
 
-    def test_append_path_taken(self, backend, grow):
+    def test_append_path_taken(self, route, grow):
         model = _knapsack_model()
-        session = IncrementalSession(model, backend=backend)
+        session = IncrementalSession(model)
         session.solve()
         for step in range(3):
             grow(model, step)
@@ -119,46 +115,42 @@ class TestSessionEquality:
             assert session.appends == 3
             assert session.rebuilds <= 1  # only the initial load
 
-    def test_model_key_unchanged_by_session_reuse(self, backend, grow):
+    def test_model_key_unchanged_by_session_reuse(self, route, grow):
         model = _knapsack_model()
-        before = model_key(model, backend=backend)
-        session = IncrementalSession(model, backend=backend)
+        before = model_key(model, backend="scipy")
+        session = IncrementalSession(model)
         session.solve()
         session.solve()
-        assert model_key(model, backend=backend) == before
+        assert model_key(model, backend="scipy") == before
         grow(model, 0)
-        grown = model_key(model, backend=backend)
+        grown = model_key(model, backend="scipy")
         session.solve()
-        assert model_key(model, backend=backend) == grown
+        assert model_key(model, backend="scipy") == grown
 
 
 class TestSessionAsSolver:
     def test_routes_other_models_through_stateless_backend(self):
         bound = _knapsack_model()
         other = _knapsack_model()
-        solve = IncrementalSession(bound, backend="scipy").as_solver()
+        solve = IncrementalSession(bound).as_solver()
         assert _fingerprint(solve(other)) == _fingerprint(
-            get_backend("scipy")(other)
+            scipy_backend.solve(other)
         )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SolverError, match="unknown solver backend"):
-            IncrementalSession(_knapsack_model(), backend="gurobi")
 
 
 class TestObjectivePlateau:
-    @pytest.mark.parametrize("backend", ROUTES, indirect=True)
-    def test_non_binding_append_keeps_exact_optimum(self, backend):
+    @pytest.mark.parametrize("route", ROUTES, indirect=True)
+    def test_non_binding_append_keeps_exact_optimum(self, route):
         """Appending a redundant row exercises the early-exit target path
         (scipy sessions stop at the first plateau incumbent): the
         returned optimum must still match the stateless solve."""
         model = _knapsack_model()
-        session = IncrementalSession(model, backend=backend)
+        session = IncrementalSession(model)
         first = session.solve()
         x = model.variables
         model.add_le(sum((v for v in x), start=0 * x[0]), float(len(x)))
         second = session.solve()
-        scratch = get_backend(backend)(model)
+        scratch = scipy_backend.solve(model)
         assert second.status is SolveStatus.OPTIMAL
         assert second.objective == pytest.approx(first.objective, abs=1e-5)
         assert second.objective == pytest.approx(scratch.objective, abs=1e-5)
@@ -168,11 +160,24 @@ class TestObjectivePlateau:
             assert session.appends == 1
 
 
+class TestUnbounded:
+    @pytest.mark.parametrize("route", ROUTES, indirect=True)
+    def test_unbounded_model_reported_as_stateless(self, route):
+        x = continuous("ux", 0)
+        b = binary("ub")
+        model = Model()
+        model.add_ge(x + b, 1)
+        model.set_objective(-x - b)
+        result = IncrementalSession(model).solve()
+        assert result.status is SolveStatus.UNBOUNDED
+        assert scipy_backend.solve(model).status is SolveStatus.UNBOUNDED
+
+
 class TestInfeasibleAppend:
-    @pytest.mark.parametrize("backend", ROUTES, indirect=True)
-    def test_append_to_infeasibility(self, backend):
+    @pytest.mark.parametrize("route", ROUTES, indirect=True)
+    def test_append_to_infeasibility(self, route):
         model = _knapsack_model()
-        session = IncrementalSession(model, backend=backend)
+        session = IncrementalSession(model)
         assert session.solve().status is SolveStatus.OPTIMAL
         x = model.variables
         model.add_ge(sum((v for v in x), start=0 * x[0]), 1.0)
