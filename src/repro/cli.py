@@ -419,18 +419,18 @@ def _cmd_sweep(args) -> int:
     telemetry = (
         TelemetryLogger(telemetry_path) if telemetry_path else NullTelemetry()
     )
-    scheduler = Scheduler(
-        max_workers=args.workers or default_workers(),
-        timeout=args.timeout,
-        retries=args.retries,
-        cache_path=args.cache,
-        use_cache=not args.no_cache,
-        telemetry=telemetry,
-        serial=args.serial,
-        max_rebuilds=args.max_rebuilds,
-    )
     try:
-        report = run_sweep(specs, scheduler=scheduler, resume=args.resume)
+        with Scheduler(
+            max_workers=args.workers or default_workers(),
+            timeout=args.timeout,
+            retries=args.retries,
+            cache_path=args.cache,
+            use_cache=not args.no_cache,
+            telemetry=telemetry,
+            serial=args.serial,
+            max_rebuilds=args.max_rebuilds,
+        ) as scheduler:
+            report = run_sweep(specs, scheduler=scheduler, resume=args.resume)
     finally:
         telemetry.close()
     if args.json:

@@ -6,15 +6,20 @@ The :class:`Scheduler` turns a list of :class:`JobSpec` into a list of
 * ``serial=True`` runs jobs in-process (no pool) — useful as the
   baseline arm of benchmarks and anywhere fork overhead dwarfs the
   work;
-* otherwise jobs are submitted to a ``ProcessPoolExecutor``. A worker
-  that *returns* an error record consumed its own exception; a worker
-  process that dies (segfault, OOM kill) surfaces as
-  ``BrokenProcessPool`` — every future that completed in the same poll
-  batch is harvested first, then the pool is rebuilt and the affected
-  jobs are resubmitted (exponential backoff, jitter seeded from the job
-  id so retry trajectories are reproducible) up to ``retries`` times
-  before being reported as ``crashed``. After ``max_rebuilds`` pool
-  rebuilds the scheduler stops thrashing and degrades to the serial
+* otherwise jobs are submitted to a ``ProcessPoolExecutor`` that lives
+  as long as the scheduler: the first pooled :meth:`Scheduler.run`
+  creates it, later runs reuse its warm workers (and each worker's
+  oracle, see :mod:`repro.runtime.worker`), and :meth:`Scheduler.close`
+  ends it. A worker that *returns* an error record consumed its own
+  exception; a worker process that dies (segfault, OOM kill) surfaces
+  as ``BrokenProcessPool`` — every future that completed in the same
+  poll batch is harvested first, then the pool is rebuilt and the
+  affected jobs are resubmitted (exponential backoff, jitter seeded
+  from the job id so retry trajectories are reproducible) up to
+  ``retries`` times before being reported as ``crashed``. A pool found
+  dead at submission (a worker killed between runs) is rebuilt without
+  charging the job an attempt. After ``max_rebuilds`` pool rebuilds in
+  one run the scheduler stops thrashing and degrades to the serial
   in-process path for whatever remains.
 * ``timeout`` bounds each job's wall clock. Enforcement is primarily
   *worker-side* (see :func:`repro.runtime.worker.run_job`): the worker
@@ -22,9 +27,12 @@ The :class:`Scheduler` turns a list of :class:`JobSpec` into a list of
   reusable. The parent keeps a lenient backstop for workers that stop
   responding entirely; its clock starts when the job is observed
   *running* — a job queued behind busy workers is never expired without
-  having executed.
-* ``KeyboardInterrupt`` cancels everything pending and returns the
-  results gathered so far (each un-run job reported as ``cancelled``).
+  having executed. A run whose backstop abandoned a future shuts its
+  pool down when it ends, so no wedged worker is handed to the next
+  run.
+* ``KeyboardInterrupt`` cancels everything pending, drops the pool and
+  returns the results gathered so far (each un-run job reported as
+  ``cancelled``).
 * :meth:`Scheduler.cancel` retires one job by id from any thread — the
   seam the ``repro serve`` job server uses for its cancel endpoint. A
   job still queued (including one in a crash-retry backoff window) is
@@ -145,8 +153,26 @@ class Scheduler:
         #: path and emits exactly one ``job_end``.
         self._cancel_lock = threading.Lock()
         self._cancel_requested: Set[str] = set()
+        #: The worker pool, created by the first pooled run and kept
+        #: until :meth:`close` (or until a run must discard it).
+        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     # -- public API ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for it (idempotent).
+
+        The one place a healthy pool ends; every owner of a pooled
+        scheduler calls it (or uses the scheduler as a context
+        manager). A later :meth:`run` would start a new pool.
+        """
+        self._end_pool(wait=True)
+
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     def cancel(self, job_id: str) -> None:
         """Request cancellation of a job (thread-safe, idempotent).
@@ -254,16 +280,18 @@ class Scheduler:
     def _run_pooled(
         self, queue: List[_Pending], by_id: Dict[str, JobResult]
     ) -> None:
-        executor = self._new_executor()
         futures: Dict[concurrent.futures.Future, _Pending] = {}
+        abandoned = False
         try:
             while queue or futures:
                 if self.degraded:
                     self._run_inline(queue, by_id)
                     break
+                if self._executor is None:
+                    self._executor = self._new_executor()
                 now = time.perf_counter()
                 self._apply_cancellations(futures, queue, by_id)
-                self._submit_eligible(executor, queue, futures, now)
+                broken = self._submit_eligible(queue, futures, now)
                 if futures:
                     done, _ = concurrent.futures.wait(
                         futures,
@@ -287,16 +315,16 @@ class Scheduler:
                 # reacting to a pool break: futures that finished
                 # alongside the fatal one carry real results, and
                 # re-running them would double-emit their lifecycle.
-                broken = False
                 for future in done:
                     pending = futures.pop(future)
                     if isinstance(future.exception(), BrokenProcessPool):
                         broken = True
                     self._collect(future, pending, queue, by_id)
                 if broken:
-                    # The pool is unusable after a worker death; rebuild
-                    # it and resubmit only what is genuinely in flight.
-                    executor.shutdown(wait=False, cancel_futures=True)
+                    # The pool is unusable after a worker death; drop it
+                    # (the next pass builds a new one) and resubmit only
+                    # what is genuinely in flight.
+                    self._end_pool(wait=False)
                     self.rebuilds += 1
                     queue.extend(futures.values())
                     futures.clear()
@@ -307,15 +335,17 @@ class Scheduler:
                             rebuilds=self.rebuilds,
                             remaining=len(queue),
                         )
-                        continue
-                    executor = self._new_executor()
+                    continue
                 self._note_running(futures)
-                self._expire_timeouts(futures, by_id)
+                abandoned |= self._expire_timeouts(futures, by_id)
         except KeyboardInterrupt:
-            executor.shutdown(wait=False, cancel_futures=True)
+            self._end_pool(wait=False)
             queue[:0] = futures.values()  # :meth:`run` cancels them
             raise
-        executor.shutdown()
+        if abandoned:
+            # A worker is still wedged in an abandoned job: the next run
+            # must not queue behind it.
+            self._end_pool(wait=True)
 
     def _new_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
@@ -323,22 +353,37 @@ class Scheduler:
             initializer=faults.mark_worker_process,
         )
 
+    def _end_pool(self, wait: bool) -> None:
+        """Drop the pool; without ``wait``, cancel its queued futures."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=not wait)
+
     def _submit_eligible(
         self,
-        executor,
         queue: List[_Pending],
         futures: Dict[concurrent.futures.Future, _Pending],
         now: float,
-    ) -> None:
-        """Move runnable queue entries into the executor (keeps a 2x
+    ) -> bool:
+        """Move runnable queue entries into the pool (keeps a 2x
         submission buffer so workers never idle between polls; jobs
-        still backing off are skipped, not reordered)."""
+        still backing off are skipped, not reordered).
+
+        Returns True when the pool turned out dead at submission (a
+        worker was killed while idle). The job never ran, so it stays
+        queued with its attempt count unchanged.
+        """
         index = 0
         while index < len(queue) and len(futures) < self.max_workers * 2:
-            if queue[index].not_before > now:
+            pending = queue[index]
+            if pending.not_before > now:
                 index += 1
                 continue
-            pending = queue.pop(index)
+            try:
+                future = self._submit(pending)
+            except BrokenProcessPool:
+                return True
+            queue.pop(index)
             pending.submitted = now
             pending.started_at = None
             self.telemetry.emit(
@@ -347,10 +392,11 @@ class Scheduler:
                 label=pending.spec.label,
                 attempt=pending.attempts,
             )
-            futures[self._submit(executor, pending)] = pending
+            futures[future] = pending
+        return False
 
-    def _submit(self, executor, pending: _Pending) -> concurrent.futures.Future:
-        return executor.submit(
+    def _submit(self, pending: _Pending) -> concurrent.futures.Future:
+        return self._executor.submit(
             run_job,
             pending.spec.to_dict(),
             cache_path=self.cache_path,
@@ -477,7 +523,7 @@ class Scheduler:
         self,
         futures: Dict[concurrent.futures.Future, _Pending],
         by_id: Dict[str, JobResult],
-    ) -> None:
+    ) -> bool:
         """Parent-side backstop for workers that stopped responding.
 
         Worker-side deadlines (cooperative clamp + hard alarm) handle
@@ -486,12 +532,13 @@ class Scheduler:
         beyond even SIGALRM (e.g. stuck in a C call with signals
         blocked). The future cannot be interrupted; it is abandoned,
         journaled as a ``job_timeout`` incident, and ended as
-        ``timeout``.
+        ``timeout``. Returns True when it abandoned a future.
         """
         if self.timeout is None:
-            return
+            return False
         limit = self.timeout + self.timeout_grace
         now = time.perf_counter()
+        abandoned = False
         for future, pending in list(futures.items()):
             if pending.started_at is None:
                 continue  # never started executing: not its fault
@@ -517,6 +564,8 @@ class Scheduler:
                 duration=now - pending.started_at,
             )
             self._emit_end(result, by_id)
+            abandoned = True
+        return abandoned
 
     def _emit_end(self, result: JobResult, by_id: Dict[str, JobResult]) -> None:
         """The one terminal path: record the result, journal its ``job_end``."""

@@ -232,10 +232,16 @@ def run_sweep(
     interrupted sweep plus its resume yields the same report as one
     uninterrupted run (modulo wall-clock fields; see
     :func:`repro.runtime.ledger.canonical_record`).
+
+    A scheduler built here from ``scheduler_kwargs`` is closed (its
+    worker pool shut down) before this returns; a passed-in one stays
+    open for its owner to reuse and close.
     """
     import time
 
-    scheduler = scheduler or Scheduler(**scheduler_kwargs)
+    if scheduler is None:
+        with Scheduler(**scheduler_kwargs) as owned:
+            return run_sweep(specs, scheduler=owned, resume=resume)
     replay: Dict[str, Dict[str, Any]] = {}
     todo: Sequence[JobSpec] = specs
     if resume is not None:

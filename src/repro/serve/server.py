@@ -17,7 +17,10 @@ Lifecycle of a submission:
    survives a SIGKILL.
 2. The dispatcher claims a priority-ordered batch and runs it through
    the scheduler; ``job_start``/``job_end`` telemetry routes back into
-   the namespace journal and mirrors into the job table.
+   the namespace journal and mirrors into the job table. The
+   scheduler's worker pool is created at the first batch and serves
+   every later one, so workers (and their oracles) stay warm; the
+   server closes it on shutdown, after the dispatcher drains.
 3. ``GET /jobs/<id>/stream`` tails that journal with the
    torn-line-tolerant reader and relays the job's events as SSE. The
    stream sleeps until a journal write of its job wakes it (the
@@ -493,13 +496,17 @@ class JobServer:
         finally:
             self._stopping.set()
             self.queue.stop()
-            if dispatch_task is not None:
-                # Graceful drain: the in-flight batch finishes (jobs
-                # have worker-side deadlines when --timeout is set).
-                await dispatch_task
-            self._dispatch_pool.shutdown(wait=True)
-            self.store.close()
-            self.telemetry.close()
+            try:
+                if dispatch_task is not None:
+                    # Graceful drain: the in-flight batch finishes (jobs
+                    # have worker-side deadlines when --timeout is set).
+                    await dispatch_task
+                self._dispatch_pool.shutdown(wait=True)
+            finally:
+                # The worker pool outlives every batch, not the server.
+                self.scheduler.close()
+                self.store.close()
+                self.telemetry.close()
 
     def run_forever(self) -> int:
         """Blocking CLI entry point; Ctrl-C drains and exits 0."""

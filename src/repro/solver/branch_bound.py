@@ -32,7 +32,10 @@ def solve_matrix(
     """Solve a MILP given in matrix form. Minimization.
 
     The form's CSR blocks are expanded to dense arrays once, here, for
-    the dense-tableau simplex.
+    the dense-tableau simplex. A search cut short by ``max_nodes`` (or
+    by a node LP's iteration limit) answers ``ITERATION_LIMIT``: with
+    the incumbent's objective and assignment when it has one, since
+    open nodes could still beat it.
     """
     if form.num_variables == 0:
         return solve_empty(form)
@@ -102,7 +105,7 @@ def solve_matrix(
             var: float(incumbent_x[i]) for i, var in enumerate(form.variables)
         }
         return SolveResult(
-            SolveStatus.OPTIMAL,
+            SolveStatus.ITERATION_LIMIT if hit_limit else SolveStatus.OPTIMAL,
             incumbent_obj + form.objective_constant,
             assignment,
             nodes_explored,
@@ -129,6 +132,6 @@ def _most_fractional(x: np.ndarray, int_mask: np.ndarray) -> Optional[int]:
 def solve(model: Model, max_nodes: int = 200000) -> SolveResult:
     """Solve a :class:`Model` with the reference branch-and-bound."""
     result = solve_matrix(model.to_matrix_form(), max_nodes=max_nodes)
-    if result.is_optimal and not model.minimize and result.objective is not None:
+    if not model.minimize and result.objective is not None:
         result.objective = -result.objective
     return result

@@ -86,7 +86,9 @@ def check_sat(
         model.add_variable(var)
     enforce(model, formula, default_big_m=default_big_m, prefix="sat")
     result = get_backend(backend)(model)
-    if result.status is SolveStatus.OPTIMAL:
+    # A search cut short still proves SAT if it found an incumbent: any
+    # feasible point is a witness, optimal or not.
+    if result.status is SolveStatus.OPTIMAL or result.assignment:
         witness = {
             var: result.assignment[var]
             for var in formula.variables()

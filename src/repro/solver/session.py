@@ -59,12 +59,13 @@ class IncrementalSession:
     Each solve opens two phase spans on :attr:`tracer`: model-sync work
     is ``matrix_build`` and the solver run is ``milp_solve``.
 
-    ``time_limit`` caps each solve.
+    Solves run without a time limit: the exploration engine checks its
+    ``time_limit`` between iterations only, so one long candidate solve
+    is not cut short by it.
     """
 
-    def __init__(self, model: Model, time_limit: Optional[float] = None) -> None:
+    def __init__(self, model: Model) -> None:
         self.model = model
-        self.time_limit = time_limit
         #: The :class:`repro.obs.trace.Tracer` timing each solve; the
         #: exploration engine binds its run's tracer here.
         self.tracer = Tracer()
@@ -74,9 +75,7 @@ class IncrementalSession:
         self.appends = 0
         self.rebuilds = 0
         self._impl: Optional[_HighsSession] = (
-            _HighsSession(time_limit)
-            if scipy_backend._highs_core is not None
-            else None
+            _HighsSession() if scipy_backend._highs_core is not None else None
         )
 
     def solve(self) -> SolveResult:
@@ -87,7 +86,7 @@ class IncrementalSession:
             with tracer.phase("matrix_build"):
                 form = self.model.to_matrix_form()
             with tracer.phase("milp_solve"):
-                result = scipy_backend.solve_matrix(form, time_limit=self.time_limit)
+                result = scipy_backend.solve_matrix(form)
         else:
             with tracer.phase("matrix_build") as span:
                 self._impl.sync(self.model)
@@ -156,11 +155,9 @@ class _HighsSession:
     #: True when the most recent sync reused state via pure appends.
     last_was_append = False
 
-    def __init__(self, time_limit: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         h = scipy_backend._highs_core._Highs()
         h.setOptionValue("output_flag", False)
-        if time_limit is not None:
-            h.setOptionValue("time_limit", float(time_limit))
         self._h = h
         #: The model's :meth:`~repro.solver.model.Model.snapshot` at the
         #: last sync; None before the first.

@@ -277,6 +277,19 @@ class TestSweep:
         assert "rpl(n=1)" in out
         assert "oracle cache" in out
 
+    def test_pooled_sweep_leaves_no_worker_behind(self, capsys):
+        import multiprocessing
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        code = main(
+            ["sweep", "--grid", "fig5-rpl", "--limit", "1", "--workers", "1",
+             "--no-cache", "--max-iterations", "200"]
+        )
+        assert code == 0
+        assert "rpl(n=1)" in capsys.readouterr().out
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
+
     def test_serial_sweep_json_with_cache_and_telemetry(self, capsys, tmp_path):
         import json
 

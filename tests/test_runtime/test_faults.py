@@ -100,15 +100,15 @@ class TestCrashRetry:
         )
         specs = [_spec(label="chaos victim"), _spec("only-iso")]
         stream = io.StringIO()
-        scheduler = Scheduler(
+        with Scheduler(
             max_workers=2,
             retries=2,
             use_cache=False,
             telemetry=TelemetryLogger(stream),
             poll_interval=0.05,
             backoff_base=0.05,
-        )
-        results = scheduler.run(specs)
+        ) as scheduler:
+            results = scheduler.run(specs)
         assert [r.status for r in results] == ["optimal", "optimal"]
         assert results[0].attempts == 2
         assert scheduler.rebuilds >= 1
@@ -134,15 +134,15 @@ class TestCrashRetry:
               "dir": str(tmp_path)}]
         )
         specs = [_spec(label="chaos doomed")]
-        scheduler = Scheduler(
+        with Scheduler(
             max_workers=1,
             retries=1,
             max_rebuilds=10,
             use_cache=False,
             poll_interval=0.05,
             backoff_base=0.05,
-        )
-        results = scheduler.run(specs)
+        ) as scheduler:
+            results = scheduler.run(specs)
         assert results[0].status == "crashed"
         assert results[0].attempts == 2
 
@@ -156,7 +156,7 @@ class TestDegradation:
         faults.install_plan(thrash_plan(tmp_path))
         specs = [_spec(), _spec("only-iso")]
         stream = io.StringIO()
-        scheduler = Scheduler(
+        with Scheduler(
             max_workers=2,
             retries=5,
             max_rebuilds=1,
@@ -164,8 +164,8 @@ class TestDegradation:
             telemetry=TelemetryLogger(stream),
             poll_interval=0.05,
             backoff_base=0.02,
-        )
-        results = scheduler.run(specs)
+        ) as scheduler:
+            results = scheduler.run(specs)
         assert scheduler.degraded
         assert [r.status for r in results] == ["optimal", "optimal"]
         events = _events(stream)
@@ -197,7 +197,7 @@ class TestWorkerSideDeadline:
         )
         specs = [_spec(label="chaos wedged"), _spec("only-iso")]
         stream = io.StringIO()
-        scheduler = Scheduler(
+        with Scheduler(
             max_workers=1,  # one slot: the second job needs the first freed
             timeout=budget,
             timeout_grace=60.0,  # parent backstop far away: worker must act
@@ -205,10 +205,10 @@ class TestWorkerSideDeadline:
             use_cache=False,
             telemetry=TelemetryLogger(stream),
             poll_interval=0.05,
-        )
-        started = time.perf_counter()
-        results = scheduler.run(specs)
-        elapsed = time.perf_counter() - started
+        ) as scheduler:
+            started = time.perf_counter()
+            results = scheduler.run(specs)
+            elapsed = time.perf_counter() - started
         assert results[0].status == "timeout"
         assert "hard deadline" in results[0].error
         assert results[1].status == "optimal"

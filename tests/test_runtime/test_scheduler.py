@@ -3,6 +3,9 @@
 import concurrent.futures
 import io
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -71,19 +74,139 @@ class TestSerial:
 class TestPooled:
     def test_pool_runs_grid(self):
         specs = _tiny_specs()
-        results = Scheduler(max_workers=2, use_cache=False).run(specs)
+        with Scheduler(max_workers=2, use_cache=False) as scheduler:
+            results = scheduler.run(specs)
         assert [r.job_id for r in results] == [s.job_id for s in specs]
         assert all(r.status == "optimal" for r in results)
 
     def test_shared_disk_cache_across_workers(self, tmp_path):
         cache = str(tmp_path / "oracle.db")
-        scheduler = Scheduler(max_workers=2, cache_path=cache)
-        cold = scheduler.run(_tiny_specs())
-        warm = Scheduler(max_workers=2, cache_path=cache).run(_tiny_specs())
+        with Scheduler(max_workers=2, cache_path=cache) as scheduler:
+            cold = scheduler.run(_tiny_specs())
+        with Scheduler(max_workers=2, cache_path=cache) as scheduler:
+            warm = scheduler.run(_tiny_specs())
         assert all(r.status == "optimal" for r in cold + warm)
         hits = sum(r.cache["hits"] for r in warm)
         misses = sum(r.cache["misses"] for r in warm)
         assert hits > 0 and misses == 0  # fully warm-started
+
+
+def _child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.02)
+
+
+class TestPoolLifecycle:
+    """One pool per scheduler: created by the first run, ended by close()."""
+
+    def test_consecutive_runs_share_workers_and_their_oracle(self):
+        specs = _tiny_specs()
+        before = _child_pids()
+        with Scheduler(max_workers=1) as scheduler:
+            first = scheduler.run(specs)
+            workers = _child_pids() - before
+            second = scheduler.run(specs)
+            assert len(workers) == 1 and _child_pids() - before == workers
+        assert [r.status for r in first + second] == ["optimal"] * 4
+        # The worker kept its in-memory oracle: the repeat is all hits.
+        assert sum(r.cache["misses"] for r in first) > 0
+        assert sum(r.cache["misses"] for r in second) == 0
+        assert [r.cost for r in second] == [r.cost for r in first]
+
+    def test_crash_rebuilds_the_pool_and_the_next_run_is_correct(
+        self, tmp_path
+    ):
+        # Fault plans are read when a worker starts: install it first.
+        faults.install_plan(
+            [{"seam": "job", "kind": "crash", "times": 1,
+              "dir": str(tmp_path)}]
+        )
+        specs = _tiny_specs()
+        expected = Scheduler(serial=True, use_cache=False).run(specs)
+        with Scheduler(
+            max_workers=1, use_cache=False, backoff_base=0.01,
+            poll_interval=0.05,
+        ) as scheduler:
+            crashed = scheduler.run(specs)
+            assert scheduler.rebuilds == 1
+            again = scheduler.run(specs)
+            assert scheduler.rebuilds == 0
+        for results in (crashed, again):
+            assert [(r.status, r.cost, r.stats["num_iterations"])
+                    for r in results] == [
+                (r.status, r.cost, r.stats["num_iterations"])
+                for r in expected
+            ]
+        assert [r.attempts for r in again] == [1, 1]
+
+    def test_close_twice_leaves_no_child_process(self):
+        before = _child_pids()
+        scheduler = Scheduler(max_workers=2, use_cache=False)
+        scheduler.run(_tiny_specs())
+        workers = _child_pids() - before
+        assert len(workers) == 2
+        scheduler.close()
+        scheduler.close()
+        assert not workers & _child_pids()
+        assert not multiprocessing.active_children()
+
+    def test_pool_killed_between_runs_is_rebuilt_without_a_retry(self):
+        stream = io.StringIO()
+        with Scheduler(
+            max_workers=2, use_cache=False, telemetry=TelemetryLogger(stream)
+        ) as scheduler:
+            before = _child_pids()
+            scheduler.run(_tiny_specs(1))
+            workers = _child_pids() - before
+            os.kill(min(workers), signal.SIGKILL)
+            # The pool notices the death and stops its other worker.
+            _wait_until(lambda: not workers & _child_pids())
+            results = scheduler.run(_tiny_specs(1))
+            assert scheduler.rebuilds == 1
+        assert results[0].status == "optimal"
+        assert results[0].attempts == 1  # the job never ran on the dead pool
+        assert not [e for e in _events(stream) if e["event"] == "job_retry"]
+
+    def test_backstop_timeout_does_not_hand_its_pool_to_the_next_run(
+        self, monkeypatch
+    ):
+        wedged, healthy = _WedgedExecutor(), _FakeExecutor(0)
+        executors = iter([wedged, healthy])
+        scheduler = Scheduler(
+            max_workers=1, timeout=1.0, timeout_grace=0.05,
+            poll_interval=0.02, use_cache=False,
+        )
+        monkeypatch.setattr(scheduler, "_new_executor", lambda: next(executors))
+        (stuck,) = scheduler.run(_tiny_specs(1))
+        assert stuck.status == "timeout" and "backstop" in stuck.error
+        assert wedged.shutdowns == [True]  # ended with the run
+        (result,) = scheduler.run(_tiny_specs(1))
+        assert result.status == "optimal"
+        assert healthy.submitted == 1 and wedged.submitted == 1
+        scheduler.close()
+
+
+class _WedgedExecutor:
+    """Executor double whose jobs start running and never finish."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.shutdowns = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        future.set_running_or_notify_cancel()
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(wait)
 
 
 class _FakeExecutor:
@@ -328,22 +451,23 @@ class TestOneEndPerResult:
 
     def test_pooled(self):
         stream = io.StringIO()
-        results = self._scheduler(stream, max_workers=1).run(_tiny_specs())
+        with self._scheduler(stream, max_workers=1) as scheduler:
+            results = scheduler.run(_tiny_specs())
         assert [r.status for r in results] == ["optimal", "optimal"]
         assert_one_end_per_result(stream, results)
 
     def test_degraded(self, tmp_path):
         faults.install_plan(thrash_plan(tmp_path))
         stream = io.StringIO()
-        scheduler = self._scheduler(
+        with self._scheduler(
             stream,
             max_workers=2,
             retries=5,
             max_rebuilds=1,
             poll_interval=0.05,
             backoff_base=0.02,
-        )
-        results = scheduler.run(_tiny_specs())
+        ) as scheduler:
+            results = scheduler.run(_tiny_specs())
         assert scheduler.degraded
         assert_one_end_per_result(stream, results)
 
@@ -425,10 +549,10 @@ class TestTimeout:
             )
             for s in ("complete", "only-decomp")
         ]
-        scheduler = Scheduler(
+        with Scheduler(
             max_workers=1, timeout=0.2, use_cache=False, poll_interval=0.05
-        )
-        results = scheduler.run(specs)
+        ) as scheduler:
+            results = scheduler.run(specs)
         assert {r.status for r in results} <= {"timeout", "optimal", "time_limit"}
         assert any(r.status == "timeout" for r in results)
 

@@ -1,5 +1,7 @@
 """Sweep grid builders and aggregation."""
 
+import multiprocessing
+
 from repro.casestudies.epn import TABLE2_TEMPLATES
 from repro.runtime.job import SCENARIOS
 from repro.runtime.scheduler import Scheduler
@@ -10,6 +12,10 @@ from repro.runtime.sweep import (
     table2_grid,
     wsn_grid,
 )
+
+
+def _child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 class TestGrids:
@@ -48,6 +54,21 @@ class TestRunSweep:
         rendered = report.render()
         assert "rpl(n=1)" in rendered
         assert "oracle cache" in rendered
+
+    def test_pooled_sweep_closes_the_scheduler_it_builds(self):
+        before = _child_pids()
+        specs = fig5_rpl_grid(max_n=1, engine={"max_iterations": 200})
+        report = run_sweep(specs, max_workers=1, use_cache=False)
+        assert report.results[0].status == "optimal"
+        assert _child_pids() <= before  # its worker is gone
+
+    def test_passed_in_scheduler_keeps_its_pool(self):
+        before = _child_pids()
+        specs = fig5_rpl_grid(max_n=1, engine={"max_iterations": 200})
+        with Scheduler(max_workers=1, use_cache=False) as scheduler:
+            run_sweep(specs, scheduler=scheduler)
+            assert _child_pids() - before  # the owner closes it
+        assert _child_pids() <= before
 
     def test_cache_totals_cover_all_jobs(self):
         specs = fig5_rpl_grid(max_n=1, engine={"max_iterations": 200})

@@ -116,6 +116,35 @@ class TestSubmitAndPoll:
         assert excinfo.value.status == 400
 
 
+class TestWorkerPool:
+    def test_batches_share_one_pool_that_ends_with_the_server(self, tmp_path):
+        import multiprocessing
+
+        from repro.runtime.worker import run_job
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        server = make_server(tmp_path, serial=False, workers=1)
+        server.start_background()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            workers = []
+            for scenario in ("complete", "only-iso"):
+                spec = _tiny_spec(scenario)
+                client.submit(spec)
+                record = client.wait(spec.job_id, timeout=120)
+                oneshot = run_job(spec.to_dict(), None, False)
+                assert canonical_record(record) == canonical_record(oneshot)
+                workers.append(
+                    {c.pid for c in multiprocessing.active_children()} - before
+                )
+            # One batch per job, one worker for both.
+            assert len(workers[0]) == 1 and workers[1] == workers[0]
+        finally:
+            server.stop_background()
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert not after - before
+
+
 class TestStream:
     def test_sse_events_arrive_in_lifecycle_order(self, client):
         spec = _tiny_spec()

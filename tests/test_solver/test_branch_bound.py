@@ -248,6 +248,25 @@ class TestNodeLimit:
         )
 
 
+    def test_budget_short_of_the_proof_is_not_optimal(self):
+        model = _multi_knapsack()
+        form = model.to_matrix_form()
+        free = branch_bound.solve_matrix(form)
+        assert free.status is SolveStatus.OPTIMAL
+        cut = branch_bound.solve_matrix(form, max_nodes=free.iterations - 10)
+        assert cut.status is SolveStatus.ITERATION_LIMIT
+        # The incumbent is still reported, and the open nodes it
+        # abandoned would have improved it.
+        assert cut.assignment and cut.objective > free.objective
+        # Through ``solve`` the maximization sign applies to it as well.
+        bounded = branch_bound.solve(model, max_nodes=free.iterations - 10)
+        assert bounded.status is SolveStatus.ITERATION_LIMIT
+        assert bounded.objective == pytest.approx(-cut.objective)
+        assert branch_bound.solve(model).objective == pytest.approx(
+            scipy_backend.solve(model).objective
+        )
+
+
 class TestMostFractional:
     def test_integral_point_has_no_branch_variable(self):
         x = np.array([0.0, 1.0, 3.0 + 1e-9])

@@ -16,6 +16,7 @@ from repro.solver.feasibility import (
     get_backend,
     is_unsat,
 )
+from repro.solver.result import SolveResult, SolveStatus
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -29,6 +30,29 @@ class TestOracle:
         result = check_sat((x >= 2) & (x <= 3), backend=backend)
         assert result
         assert 2 - 1e-6 <= result.assignment[x] <= 3 + 1e-6
+
+    def test_incumbent_of_a_cut_short_search_is_a_witness(self, monkeypatch):
+        x = integer("w", 0, 5)
+        witness = {x: 3.0}
+        monkeypatch.setitem(
+            BACKENDS,
+            "native",
+            lambda model: SolveResult(
+                SolveStatus.ITERATION_LIMIT, 0.0, witness, 7
+            ),
+        )
+        result = check_sat((x >= 2) & (x <= 4), backend="native")
+        assert result.satisfiable and result.assignment == witness
+
+    def test_cut_short_search_without_incumbent_is_an_error(self, monkeypatch):
+        x = integer("w", 0, 5)
+        monkeypatch.setitem(
+            BACKENDS,
+            "native",
+            lambda model: SolveResult(SolveStatus.ITERATION_LIMIT, iterations=7),
+        )
+        with pytest.raises(SolverError):
+            check_sat((x >= 2) & (x <= 4), backend="native")
 
     def test_unsat_both_backends(self, backend):
         x = continuous("x", 0, 10)
