@@ -122,8 +122,6 @@ def _spec_from_args(case: str, args, **engine) -> "JobSpec":
     # historical job ids.
     if getattr(args, "no_incremental", False):
         engine["incremental"] = False
-    if getattr(args, "no_multicut", False):
-        engine["multicut"] = False
     if getattr(args, "profile", False):
         engine["profile"] = True
     return JobSpec(case, sizes=sizes, problem=problem, engine=engine)
@@ -614,12 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="collect and print a per-phase wall-clock breakdown",
         )
         _add_incremental_flags(explore_cmd)
-        explore_cmd.add_argument(
-            "--no-multicut",
-            action="store_true",
-            help="generate certificates only for the first violation per "
-            "iteration",
-        )
         explore_cmd.add_argument(
             "--dot",
             metavar="FILE",

@@ -5,9 +5,9 @@ Iterate:
 1. solve the Problem-2 MILP (component contracts + accumulated cuts) for
    the cheapest candidate;
 2. run Algorithm 1 (refinement verification) on the candidate;
-3. if a viewpoint fails, run Algorithm 2 to turn the invalid fragment
-   into isomorphism-generalized cuts and go to 1 (at least one new cut
-   must exclude the candidate, or the run raises
+3. if a viewpoint fails, run Algorithm 2 to turn every invalid
+   fragment into isomorphism-generalized cuts and go to 1 (at least one
+   new cut must exclude the candidate, or the run raises
    :class:`~repro.exceptions.ExplorationError` rather than stall);
 4. otherwise the candidate is the optimum of Problem 1.
 
@@ -22,7 +22,12 @@ The two scalability levers of the paper map to constructor flags:
 ``use_isomorphism`` (certificate generalization over embeddings +
 implementation widening) and ``use_decomposition`` (path-by-path
 refinement). Table II's three scenarios are
-``(True, False)``, ``(False, True)`` and ``(True, True)``.
+``(True, False)``, ``(False, True)`` and ``(True, True)``. A third
+flag, ``incremental`` (on by default), reuses work across iterations
+without changing any answer: one persistent HiGHS session for
+Problem 2 and dependency-sliced carrying of unchanged refinement
+verdicts. Every violation Algorithm 1 finds in a candidate becomes
+certificates in the same iteration.
 
 Cuts enter the MILP lazily (:class:`repro.explore.cut_pool.CutPool`).
 Of the cuts Algorithm 2 emits in an iteration, only those the current
@@ -170,13 +175,10 @@ class ContrArcExplorer:
         use_isomorphism: bool = True,
         use_decomposition: bool = True,
         widen_implementations: bool = True,
-        check_assumptions: bool = False,
         max_iterations: int = 1000,
         time_limit: Optional[float] = None,
         oracle=None,
         incremental: bool = True,
-        incremental_verify: Optional[bool] = None,
-        multicut: bool = True,
         profile: bool = False,
         tracer=None,
     ) -> None:
@@ -185,21 +187,11 @@ class ContrArcExplorer:
         #: refinement queries and candidate-MILP solves from cache —
         #: the warm-start seam of the batch runtime.
         self.oracle = oracle
-        #: Reuse solver state across iterations (one persistent HiGHS
-        #: instance). Results are identical either way; see
-        #: repro.solver.session.
+        #: Reuse work across iterations: one persistent HiGHS instance
+        #: (see repro.solver.session) and dependency-sliced verification
+        #: carrying (see repro.explore.incremental). Results are
+        #: identical either way.
         self.incremental = incremental
-        #: Dependency-sliced verification carrying (see
-        #: :mod:`repro.explore.incremental`). Defaults to following
-        #: ``incremental`` — the two reuse levers ship as one flag at
-        #: the CLI — but is independently overridable for A/B runs.
-        self.incremental_verify = (
-            incremental if incremental_verify is None else incremental_verify
-        )
-        #: Turn *every* violated (viewpoint, path) of a candidate into
-        #: certificates at once instead of only the first — fewer MILP
-        #: re-solves for the same final cut set.
-        self.multicut = multicut
         #: Store the run's per-phase breakdown (seconds, span counts,
         #: event counters) in ``stats.phase_profile``.
         self.profile = profile
@@ -236,9 +228,8 @@ class ContrArcExplorer:
             mapping_template,
             specification,
             decompose=use_decomposition,
-            check_assumptions=check_assumptions,
             oracle=checker_oracle,
-            incremental=self.incremental_verify,
+            incremental=incremental,
         )
 
     # -- main loop -------------------------------------------------------------
@@ -278,7 +269,6 @@ class ContrArcExplorer:
             use_isomorphism=self.use_isomorphism,
             use_decomposition=self.use_decomposition,
             incremental=self.incremental,
-            multicut=self.multicut,
         ) as run:
             # The contract encoding never changes across iterations; build
             # it once and keep appending certificate constraints to it.
@@ -335,7 +325,7 @@ class ContrArcExplorer:
                     span.attrs["candidate_cost"] = candidate.cost
 
                     with tracer.phase("refinement"):
-                        violations = self._violations(candidate)
+                        violations = self.checker.check_all(candidate)
                     provenance = self.checker.last_provenance
                     if provenance is not None:
                         record.verification = dict(provenance)
@@ -464,13 +454,6 @@ class ContrArcExplorer:
                 return solve(model)
 
         return timed
-
-    def _violations(self, candidate: CandidateArchitecture) -> List[Violation]:
-        """All violations (multi-cut mode) or at most the first one."""
-        if self.multicut:
-            return self.checker.check_all(candidate)
-        violation = self.checker.check(candidate)
-        return [violation] if violation is not None else []
 
     def explore_or_raise(self) -> ExplorationResult:
         """Like :meth:`explore` but raises when no architecture exists."""

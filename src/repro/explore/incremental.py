@@ -29,67 +29,19 @@ produced cuts, costs and iteration trajectories are bit-identical to
 scratch verification (pinned by
 ``tests/test_explore/test_incremental_verification.py``).
 
-Fingerprints deliberately exclude the ``check_assumptions`` flag: a
-delta instance belongs to exactly one
-:class:`~repro.explore.refinement_check.RefinementChecker`, whose
-configuration is fixed for its lifetime.
+Plan entries themselves, and the provenance labels the walk records,
+live with the one walk in :mod:`repro.explore.refinement_check`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-#: Plan-entry provenance labels recorded per iteration (see
-#: ``IterationRecord.verification``).
-VERIFIED = "verified"      # at least one sat query actually solved
-CACHE_HIT = "cache_hit"    # verified, but every sat query came from the oracle
-CARRIED = "carried"        # verdict carried forward; no queries issued
+if TYPE_CHECKING:
+    from repro.explore.refinement_check import PlanEntry
 
 PairId = Tuple[str, Optional[Tuple[str, ...]]]
 Fingerprint = Tuple[Any, ...]
-
-
-def new_counts(checks: int = 0) -> Dict[str, int]:
-    """A fresh provenance tally for one candidate's plan."""
-    return {"checks": checks, VERIFIED: 0, CACHE_HIT: 0, CARRIED: 0}
-
-
-class PlanEntry:
-    """Outline of one (viewpoint, path) check — no contracts built yet.
-
-    The outline stage is deliberately cheap: it records *which* checks
-    the candidate's plan contains and *which* components each depends
-    on, so the slicer can fingerprint an entry (and the delta can skip
-    it) without ever substituting or composing a contract.
-    """
-
-    __slots__ = ("spec", "path", "components", "whole")
-
-    def __init__(
-        self,
-        spec,
-        path: Optional[Tuple[str, ...]],
-        components: Tuple[str, ...],
-        whole: bool = False,
-    ) -> None:
-        self.spec = spec
-        #: ``None`` for a whole-candidate check.
-        self.path = path
-        #: Component names whose contracts the check composes, in
-        #: composition order.
-        self.components = components
-        #: Whole-candidate check (global viewpoint, or any viewpoint
-        #: with decomposition disabled).
-        self.whole = whole
-
-    @property
-    def pair_id(self) -> PairId:
-        """Stable identity of the (viewpoint, path) pair across candidates."""
-        return (self.spec.name, self.path)
-
-    def __repr__(self) -> str:
-        where = "->".join(self.path) if self.path else "whole"
-        return f"PlanEntry({self.spec.name}, {where})"
 
 
 class DependencySlicer:
@@ -227,7 +179,3 @@ def _restrict(
         (name, values[name]) for name in support if name in values
     )
 
-
-def index_by_name(assignment: Mapping[Any, float]) -> Dict[str, float]:
-    """Re-key a Var-keyed assignment by variable name."""
-    return {var.name: float(value) for var, value in assignment.items()}

@@ -14,16 +14,21 @@ path-specific system contracts are conjoined over all source-to-sink
 paths of the candidate.
 
 The verification of one candidate is organized as a *plan*: the ordered
-list of (viewpoint, path) refinement checks, each carrying its fully
-specialized (composed, system) contract pair. The checker walks the
-plan lazily, or eagerly under dependency-sliced carrying (see
-:mod:`repro.explore.incremental`); both report identical violations in
-identical order.
+list of (viewpoint, path) refinement checks. The plan is outlined first
+(:class:`PlanEntry`: which components each check composes) and each
+entry is materialized into its specialized (composed, system) contract
+pair only when it is checked. There is one walk over the plan; with
+dependency slicing on (see :mod:`repro.explore.incremental`) it first
+asks whether an entry's verdict carries over from the previous
+candidate and materializes only the entries that do not.
+
+Only the guarantees half of refinement is checked: the candidate MILP
+already enforces every component assumption (see DESIGN.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.architecture import CandidateArchitecture, SubArchitecture
 from repro.arch.template import MappingTemplate
@@ -33,19 +38,65 @@ from repro.contracts.refinement import RefinementResult, check_refinement
 from repro.contracts.viewpoints import Viewpoint
 from repro.expr.constraints import conjunction
 from repro.expr.terms import Var
-from repro.explore.incremental import (
-    CACHE_HIT,
-    CARRIED,
-    VERIFIED,
-    DependencySlicer,
-    IterationDelta,
-    PlanEntry,
-    index_by_name,
-    new_counts,
-)
+from repro.explore.incremental import DependencySlicer, IterationDelta, PairId
 from repro.graph.paths import all_source_sink_paths
 from repro.obs.trace import Tracer
 from repro.spec.base import Specification, ViewpointSpec
+
+
+#: Plan-entry provenance labels recorded per iteration (see
+#: ``IterationRecord.verification``).
+VERIFIED = "verified"      # at least one sat query actually solved
+CACHE_HIT = "cache_hit"    # verified, but every sat query came from the oracle
+CARRIED = "carried"        # verdict carried forward; no queries issued
+
+
+def new_counts(checks: int = 0) -> Dict[str, int]:
+    """A fresh provenance tally for one candidate's plan."""
+    return {"checks": checks, VERIFIED: 0, CACHE_HIT: 0, CARRIED: 0}
+
+
+def index_by_name(assignment: Mapping[Any, float]) -> Dict[str, float]:
+    """Re-key a Var-keyed assignment by variable name."""
+    return {var.name: float(value) for var, value in assignment.items()}
+
+
+class PlanEntry:
+    """Outline of one (viewpoint, path) check — no contracts built yet.
+
+    The outline stage is deliberately cheap: it records *which* checks
+    the candidate's plan contains and *which* components each depends
+    on, so the slicer can fingerprint an entry (and the delta can skip
+    it) without ever substituting or composing a contract.
+    """
+
+    __slots__ = ("spec", "path", "components", "whole")
+
+    def __init__(
+        self,
+        spec: ViewpointSpec,
+        path: Optional[Tuple[str, ...]],
+        components: Tuple[str, ...],
+        whole: bool = False,
+    ) -> None:
+        self.spec = spec
+        #: ``None`` for a whole-candidate check.
+        self.path = path
+        #: Component names whose contracts the check composes, in
+        #: composition order.
+        self.components = components
+        #: Whole-candidate check (global viewpoint, or any viewpoint
+        #: with decomposition disabled).
+        self.whole = whole
+
+    @property
+    def pair_id(self) -> PairId:
+        """Stable identity of the (viewpoint, path) pair across candidates."""
+        return (self.spec.name, self.path)
+
+    def __repr__(self) -> str:
+        where = "->".join(self.path) if self.path else "whole"
+        return f"PlanEntry({self.spec.name}, {where})"
 
 
 class Violation:
@@ -103,7 +154,6 @@ class RefinementChecker:
         mapping_template: MappingTemplate,
         specification: Specification,
         decompose: bool = True,
-        check_assumptions: bool = False,
         oracle=None,
         incremental: bool = False,
     ) -> None:
@@ -115,10 +165,6 @@ class RefinementChecker:
         #: refinement query so repeated checks across iterations, jobs
         #: and runs are served from cache.
         self.oracle = oracle
-        #: The assumptions half of refinement is skipped by default: the
-        #: candidate MILP already enforces every component assumption, so
-        #: only guarantee containment is informative here (see DESIGN.md).
-        self.check_assumptions = check_assumptions
         #: The :class:`repro.obs.trace.Tracer` (the engine binds its
         #: run's): every plan entry emits a ``refinement_check`` span
         #: keyed by its plan index.
@@ -137,8 +183,8 @@ class RefinementChecker:
         self.slicer: Optional[DependencySlicer] = (
             DependencySlicer(self) if incremental else None
         )
-        #: Per-entry provenance tally of the most recent candidate
-        #: (``None`` outside incremental mode): ``{"checks": n,
+        #: Per-entry provenance tally of the most recent fully walked
+        #: candidate (``None`` without slicing): ``{"checks": n,
         #: "verified": ..., "cache_hit": ..., "carried": ...}``.
         self.last_provenance: Optional[Dict[str, int]] = None
 
@@ -151,58 +197,43 @@ class RefinementChecker:
     def check_all(self, candidate: CandidateArchitecture) -> List[Violation]:
         """Every violation of the candidate, in :meth:`check` order.
 
-        The multi-cut variant of the exploration loop turns all of them
-        into certificates at once instead of re-solving the MILP to
-        rediscover the remaining failures one per iteration. An empty
-        list means the candidate refines every system contract.
+        The exploration loop turns all of them into certificates at
+        once instead of re-solving the MILP to rediscover the remaining
+        failures one per iteration. An empty list means the candidate
+        refines every system contract.
         """
         return list(self._iter_violations(candidate))
 
     def _iter_violations(
         self, candidate: CandidateArchitecture
-    ) -> "Iterator[Violation]":
-        if self.delta is not None:
-            yield from self._iter_violations_incremental(candidate)
-            return
-        self.last_provenance = None
-        for index, check in enumerate(self.candidate_plan(candidate)):
-            hits_before = self.oracle.stats.hits if self.oracle else 0
-            with self.tracer.span(
-                "refinement_check", seq=index, **self._span_attrs(check)
-            ) as span:
-                result = self._check_entry(check)
-                span.attrs["holds"] = bool(result)
-                if self.oracle is not None:
-                    span.attrs["cache_hit"] = self.oracle.stats.hits > hits_before
-            if not result:
-                yield self.violation_for(candidate, check, result)
+    ) -> Iterator[Violation]:
+        """Algorithm 1: walk the plan, yielding each violation as found.
 
-    def _iter_violations_incremental(
-        self, candidate: CandidateArchitecture
-    ) -> "Iterator[Violation]":
-        """The dependency-sliced walk: carry unchanged pairs forward.
-
-        Evaluated eagerly (every entry decided before the first
-        violation is yielded): the delta must learn the fingerprint of
-        *every* pair to carry it into the next candidate, so a lazy
-        short-circuit would forfeit exactly the reuse this mode exists
-        for. Verdicts, violation order and cuts are identical to the
-        lazy walk either way.
+        With slicing on, an entry whose dependency fingerprint matches
+        the previous candidate's carries that verdict without being
+        materialized; the delta and ``last_provenance`` are committed
+        only once the walk is exhausted. A walk cut short by
+        :meth:`check` leaves the delta at the last complete candidate,
+        whose carried verdicts still hold for equal fingerprints.
         """
         assignment, paths, entries = self.plan_outline(candidate)
-        values = index_by_name(assignment)
+        sliced = self.slicer is not None
+        if sliced:
+            values = index_by_name(assignment)
+            committed: Dict[PairId, tuple] = {}
+            counts = new_counts(len(entries))
+        else:
+            self.last_provenance = None
         memo: Dict[tuple, Contract] = {}
-        committed: Dict[tuple, tuple] = {}
-        counts = new_counts(len(entries))
-        failed: List[Tuple[PlanEntry, RefinementResult]] = []
         for index, entry in enumerate(entries):
-            fingerprint = self.slicer.fingerprint(entry, values, paths)
-            prior = self.delta.match(entry.pair_id, fingerprint)
+            result = None
+            if sliced:
+                fingerprint = self.slicer.fingerprint(entry, values, paths)
+                result = self.delta.match(entry.pair_id, fingerprint)
             with self.tracer.span(
                 "refinement_check", seq=index, **self._span_attrs(entry)
             ) as span:
-                if prior is not None:
-                    result = prior
+                if result is not None:
                     provenance = CARRIED
                 else:
                     check = self.materialize(entry, assignment, paths, memo)
@@ -211,26 +242,32 @@ class RefinementChecker:
                     provenance = (
                         CACHE_HIT if self._all_hits_since(before) else VERIFIED
                     )
+                # Provenance is a slicing record; cache_hit needs an
+                # oracle to have answered, or provenance to imply it.
+                span.attrs["holds"] = bool(result)
+                if sliced:
+                    span.attrs["provenance"] = provenance
+                if sliced or self.oracle is not None:
+                    span.attrs["cache_hit"] = provenance == CACHE_HIT
+            if sliced:
                 counts[provenance] += 1
-                span.attrs.update(
-                    holds=bool(result),
-                    provenance=provenance,
-                    cache_hit=provenance == CACHE_HIT,
-                )
-            committed[entry.pair_id] = (fingerprint, result)
+                committed[entry.pair_id] = (fingerprint, result)
             if not result:
-                failed.append((entry, result))
-        self.delta.commit(committed)
-        self.last_provenance = counts
-        for entry, result in failed:
-            yield self.violation_for_entry(candidate, entry, result)
+                yield self.violation_for(candidate, entry, result)
+        if sliced:
+            self.delta.commit(committed)
+            self.last_provenance = counts
 
-    def _check_entry(self, check: "RefinementCheck") -> RefinementResult:
-        """Decide one materialized plan entry through the oracle seam."""
+    def _check_entry(self, check: RefinementCheck) -> RefinementResult:
+        """Decide one materialized plan entry through the oracle seam.
+
+        Guarantees only: the candidate MILP already enforces every
+        component assumption (see DESIGN.md).
+        """
         return check_refinement(
             check.composed,
             check.system,
-            check_assumptions=self.check_assumptions,
+            check_assumptions=False,
             saturate_concrete=False,
             oracle=self.oracle,
         )
@@ -246,9 +283,8 @@ class RefinementChecker:
         return self.oracle is not None and self._oracle_progress() == before
 
     @staticmethod
-    def _span_attrs(entry) -> Dict[str, object]:
-        """The span attributes identifying one plan entry (a
-        :class:`RefinementCheck` or an outline :class:`PlanEntry`)."""
+    def _span_attrs(entry: PlanEntry) -> Dict[str, object]:
+        """The span attributes identifying one plan entry."""
         return {
             "viewpoint": entry.spec.name,
             "path": "->".join(entry.path) if entry.path else None,
@@ -334,24 +370,13 @@ class RefinementChecker:
         )
         return RefinementCheck(spec, entry.path, composed, system)
 
-    def candidate_plan(
-        self, candidate: CandidateArchitecture
-    ) -> List[RefinementCheck]:
-        """The candidate's refinement checks, fully materialized."""
-        assignment, paths, entries = self.plan_outline(candidate)
-        memo: Dict[tuple, Contract] = {}
-        return [
-            self.materialize(entry, assignment, paths, memo)
-            for entry in entries
-        ]
-
-    def violation_for_entry(
+    def violation_for(
         self,
         candidate: CandidateArchitecture,
         entry: PlanEntry,
         result: RefinementResult,
     ) -> Violation:
-        """Materialize the Violation for one failed outline entry."""
+        """Materialize the Violation for one failed plan entry."""
         if entry.path is not None:
             return Violation(
                 candidate.sub_architecture(list(entry.path)),
@@ -361,24 +386,6 @@ class RefinementChecker:
             )
         return Violation(
             candidate.whole_architecture(), entry.spec.viewpoint, result
-        )
-
-    def violation_for(
-        self,
-        candidate: CandidateArchitecture,
-        check: RefinementCheck,
-        result: RefinementResult,
-    ) -> Violation:
-        """Materialize the Violation for one failed plan entry."""
-        if check.path is not None:
-            return Violation(
-                candidate.sub_architecture(list(check.path)),
-                check.spec.viewpoint,
-                result,
-                path=check.path,
-            )
-        return Violation(
-            candidate.whole_architecture(), check.spec.viewpoint, result
         )
 
     # -- helpers -----------------------------------------------------------------

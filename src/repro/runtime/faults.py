@@ -57,7 +57,8 @@ from typing import Any, Dict, List, Optional
 ENV_VAR = "REPRO_FAULTS"
 
 #: Set by :func:`mark_worker_process` in pool-worker processes (the
-#: scheduler installs it as the executor initializer).
+#: scheduler's executor initializer,
+#: :func:`repro.runtime.worker.init_worker`, calls it).
 _IN_WORKER = False
 
 #: Parsed plan cache: ``None`` means "not parsed yet"; a list (possibly

@@ -202,22 +202,21 @@ class JobSpec:
             kwargs = flags
         return kwargs
 
-    def make_explorer(self, oracle=None, engine_overrides=None, tracer=None):
+    def make_explorer(self, oracle=None, time_limit=None, tracer=None):
         """Build a ready-to-run explorer for this job.
 
-        ``engine_overrides`` are applied on top of the spec's engine
-        levers *without* entering the job id — the seam the worker uses
-        to clamp ``time_limit`` to its deadline while keeping the spec,
-        and therefore telemetry joins, untouched. ``tracer`` likewise
-        stays out of the id: observability must never change which jobs
-        are cached.
+        ``time_limit`` replaces the spec's own budget *without* entering
+        the job id — the seam the worker uses to clamp the run to its
+        deadline while keeping the spec, and therefore telemetry joins,
+        untouched. ``tracer`` likewise stays out of the id:
+        observability must never change which jobs are cached.
         """
         from repro.explore.engine import ContrArcExplorer
 
         mapping_template, specification = self.build_problem()
         kwargs = self.engine_kwargs()
-        if engine_overrides:
-            kwargs.update(engine_overrides)
+        if time_limit is not None:
+            kwargs["time_limit"] = time_limit
         return ContrArcExplorer(
             mapping_template, specification, oracle=oracle, tracer=tracer, **kwargs
         )

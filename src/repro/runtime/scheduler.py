@@ -56,10 +56,9 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.runtime import faults
 from repro.runtime.job import JobResult, JobSpec
 from repro.runtime.telemetry import NullTelemetry
-from repro.runtime.worker import hard_deadline_grace, run_job
+from repro.runtime.worker import hard_deadline_grace, init_worker, run_job
 
 
 def default_workers() -> int:
@@ -350,7 +349,7 @@ class Scheduler:
     def _new_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.max_workers,
-            initializer=faults.mark_worker_process,
+            initializer=init_worker,
         )
 
     def _end_pool(self, wait: bool) -> None:

@@ -27,6 +27,7 @@ entirely.)
 from __future__ import annotations
 
 import atexit
+import multiprocessing.util
 import signal
 import sqlite3
 import threading
@@ -42,8 +43,8 @@ from repro.runtime.oracle import OracleCache
 #: Per-process oracle, keyed by cache path, so one worker process reuses
 #: its in-memory layer (and SQLite connection) across the many jobs the
 #: pool feeds it. Stores are closed at process exit (see
-#: :func:`close_process_oracles`) so SQLite WAL/SHM sidecars do not
-#: outlive the pool.
+#: :func:`close_process_oracles` and :func:`init_worker`) so SQLite
+#: WAL/SHM sidecars do not outlive the pool.
 _PROCESS_ORACLES: Dict[Optional[str], OracleCache] = {}
 
 #: Cache paths whose SQLite store could not be opened: the oracle
@@ -56,10 +57,11 @@ _ATEXIT_REGISTERED = False
 def close_process_oracles() -> None:
     """Close every registered oracle store (idempotent).
 
-    Registered via :mod:`atexit` when the first oracle is built, so a
-    worker process that exits normally (pool shutdown) releases its
-    SQLite connection — without this, WAL/SHM sidecar files linger
-    after the pool is gone.
+    Registered via :mod:`atexit` when the first oracle is built, and
+    as a multiprocessing finalizer in every pool worker (see
+    :func:`init_worker`), so the process releases its SQLite
+    connection when it ends — without this, WAL/SHM sidecar files
+    linger after the pool is gone.
     """
     while _PROCESS_ORACLES:
         _, oracle = _PROCESS_ORACLES.popitem()
@@ -67,6 +69,17 @@ def close_process_oracles() -> None:
             oracle.close()
         except Exception:
             pass  # exit path: never let cleanup mask the real outcome
+
+
+def init_worker() -> None:
+    """Process-pool initializer: mark the process a worker and close its
+    oracles when it exits.
+
+    Pool workers end through ``os._exit``, which skips :mod:`atexit`
+    handlers; multiprocessing runs its own finalizers just before that.
+    """
+    faults.mark_worker_process()
+    multiprocessing.util.Finalize(None, close_process_oracles, exitpriority=0)
 
 
 def _oracle_for(cache_path: Optional[str], use_cache: bool) -> Optional[OracleCache]:
@@ -166,8 +179,7 @@ def run_job(
     override: the spec (and hence its job id) is not mutated.
     """
     spec = JobSpec.from_dict(spec_dict)
-    overrides: Dict[str, Any] = {}
-    deadline_binding = False
+    clamp: Optional[float] = None
     if deadline is not None:
         own_limit = spec.engine.get("time_limit")
         if own_limit is None or deadline < own_limit:
@@ -176,8 +188,7 @@ def run_job(
             # TIME_LIMIT as a runtime-level timeout. (If the job's own
             # time_limit binds first, TIME_LIMIT stays a legitimate
             # engine outcome, identical to an un-swept run.)
-            overrides["time_limit"] = deadline
-            deadline_binding = True
+            clamp = deadline
     oracle = _oracle_for(cache_path, use_cache)
     before = oracle.stats.to_dict() if oracle is not None else None
     started = time.perf_counter()
@@ -187,9 +198,7 @@ def run_job(
     try:
         with _hard_alarm(hard_limit):
             faults.maybe_inject("job", spec.label)
-            result = spec.make_explorer(
-                oracle=oracle, engine_overrides=overrides or None
-            ).explore()
+            result = spec.make_explorer(oracle=oracle, time_limit=clamp).explore()
     except _HardDeadline:
         return JobResult(
             spec.job_id,
@@ -206,7 +215,7 @@ def run_job(
             error=traceback.format_exc(limit=20),
             duration=time.perf_counter() - started,
         ).to_dict()
-    if deadline_binding and result.status.value == "time_limit":
+    if clamp is not None and result.status.value == "time_limit":
         return JobResult(
             spec.job_id,
             spec,

@@ -34,6 +34,11 @@ class TestParser:
             build_parser().parse_args(["rpl", "--backend", value])
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    def test_multicut_flag_retired(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["epn", "--no-multicut"])
+        assert "unrecognized arguments: --no-multicut" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_rpl_run(self, capsys, tmp_path):
@@ -166,10 +171,7 @@ PINNED_JOB_IDS = [
     (["rpl", "--n-a", "1"], "0805bf4021423fd5"),
     (["rpl", "--n-a", "1", "--no-incremental"], "2d13fcda8b5cd79d"),
     (["epn", "--left", "1", "--right", "0"], "0d62c3f5b3fb0792"),
-    (
-        ["epn", "--left", "1", "--right", "0", "--no-multicut", "--profile"],
-        "330d751b3c1db12a",
-    ),
+    (["epn", "--left", "1", "--right", "0", "--profile"], "f61d4841635ee5e6"),
     (["wsn", "--tiers", "1"], "fdc0940d712683b9"),
     (
         ["table2", "--left", "1", "--right", "0", "--apu", "0"],

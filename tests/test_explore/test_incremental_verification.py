@@ -1,6 +1,6 @@
 """Regression: dependency-sliced verification changes work, never answers.
 
-With ``incremental_verify=True`` (the default) the checker fingerprints
+With ``incremental=True`` (the default) the checker fingerprints
 every (viewpoint, path) plan entry by the candidate-assignment slice its
 contracts depend on, and carries the previous candidate's verdict
 forward when the slice is unchanged. Everything observable must stay
@@ -17,26 +17,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.casestudies import epn, rpl, wsn
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
-from repro.explore.incremental import (
+from repro.explore.incremental import IterationDelta
+from repro.explore.refinement_check import (
     CACHE_HIT,
     CARRIED,
     VERIFIED,
-    IterationDelta,
+    RefinementChecker,
     index_by_name,
 )
-from repro.explore.refinement_check import RefinementChecker
 from repro.runtime.keys import formula_key
 
 
-def _run(builder, incremental_verify, **engine):
+def _run(builder, sliced, **engine):
     mapping_template, specification = builder()
     explorer = ContrArcExplorer(
-        mapping_template,
-        specification,
-        incremental_verify=incremental_verify,
-        max_iterations=2000,
-        **engine,
+        mapping_template, specification, max_iterations=2000, **engine
     )
+    if not sliced:
+        # The same MILP session, so the same candidate trajectory; only
+        # the walk's optional slicing step is off.
+        explorer.checker.slicer = explorer.checker.delta = None
     return explorer.explore()
 
 
@@ -116,27 +116,12 @@ class TestProvenance:
 
     def test_consecutive_candidates_share_slices(self):
         # With lazy cut activation no RPL/EPN run happens to revisit an
-        # unchanged slice, so the pair is built by hand: RPL(2,2)'s first
-        # candidate, the same with one path-A machine swapped, then the
-        # first again. Path B's slice never changes (carried without a
+        # unchanged slice, so the pair is built by hand (see
+        # _rpl_pair). Path B's slice never changes (carried without a
         # query); path A's queries repeat (answered by the oracle).
-        from repro.arch.architecture import CandidateArchitecture
-        from repro.explore.encoding import build_candidate_milp
         from repro.runtime.oracle import OracleCache
-        from repro.solver.feasibility import get_backend
 
-        mapping_template, specification = rpl.build_problem(2, 2)
-        solved = get_backend("scipy")(
-            build_candidate_milp(mapping_template, specification)
-        )
-        first = CandidateArchitecture.from_assignment(
-            mapping_template, solved.assignment
-        )
-        swapped = dict(first.selected_impls)
-        swapped["m1_A_1"] = mapping_template.library.get("m_semi_a")
-        second = CandidateArchitecture(
-            mapping_template, first.selected_edges, swapped
-        )
+        mapping_template, specification, first, second = _rpl_pair()
         checker = RefinementChecker(
             mapping_template,
             specification,
@@ -166,6 +151,80 @@ class TestProvenance:
         clone = ExplorationStats.from_dict(result.stats.to_dict())
         assert clone.verification == result.stats.verification
         assert clone.to_dict() == result.stats.to_dict()
+
+
+def _rpl_pair():
+    """RPL(2,2)'s first candidate and the same with one path-A machine
+    swapped, with the problem they belong to."""
+    from repro.arch.architecture import CandidateArchitecture
+    from repro.explore.encoding import build_candidate_milp
+    from repro.solver.feasibility import get_backend
+
+    mapping_template, specification = rpl.build_problem(2, 2)
+    solved = get_backend("scipy")(
+        build_candidate_milp(mapping_template, specification)
+    )
+    first = CandidateArchitecture.from_assignment(
+        mapping_template, solved.assignment
+    )
+    swapped = dict(first.selected_impls)
+    swapped["m1_A_1"] = mapping_template.library.get("m_semi_a")
+    second = CandidateArchitecture(
+        mapping_template, first.selected_edges, swapped
+    )
+    return mapping_template, specification, first, second
+
+
+def _verdicts(violations):
+    return [
+        (v.viewpoint.name, v.path, v.refinement.failure) for v in violations
+    ]
+
+
+class TestEarlyStop:
+    def test_check_stops_at_first_violation_and_commits_nothing(self):
+        mapping_template, specification, first, _second = _rpl_pair()
+        checker = RefinementChecker(
+            mapping_template, specification, incremental=True
+        )
+        walked = []
+        check_entry = checker._check_entry
+        checker._check_entry = lambda check: walked.append(check) or check_entry(
+            check
+        )
+        assert checker.check(first) is not None
+        entries = checker.plan_outline(first)[2]
+        assert len(walked) < len(entries)
+        assert checker.last_provenance is None
+        assert len(checker.delta) == 0
+
+    def test_uncommitted_walk_then_check_all_matches_fresh_checker(self):
+        # check() abandons its walk at the first violation, so the delta
+        # still holds the last fully walked candidate. Every later
+        # check_all must report what a fresh checker reports.
+        mapping_template, specification, first, second = _rpl_pair()
+        checker = RefinementChecker(
+            mapping_template, specification, incremental=True
+        )
+        sequence = [
+            (checker.check, first),
+            (checker.check_all, second),
+            (checker.check_all, first),
+            (checker.check, second),
+            (checker.check_all, second),
+            (checker.check_all, first),
+        ]
+        for walk, candidate in sequence:
+            fresh = RefinementChecker(mapping_template, specification)
+            if walk == checker.check:
+                got = walk(candidate)
+                want = fresh.check(candidate)
+                assert _verdicts([got]) == _verdicts([want])
+            else:
+                assert _verdicts(walk(candidate)) == _verdicts(
+                    fresh.check_all(candidate)
+                )
+        assert checker.last_provenance[CARRIED] > 0
 
 
 def _mini_plan():

@@ -156,8 +156,13 @@ class TestSubstitutionMemo:
             calls.append(self.name)
             return original(self, assignment)
 
+        assignment, paths, entries = checker.plan_outline(candidate)
+        memo = {}
         with patch.object(Contract, "substitute", counting):
-            plan = checker.candidate_plan(candidate)
+            plan = [
+                checker.materialize(entry, assignment, paths, memo)
+                for entry in entries
+            ]
         timing_paths = [c for c in plan if c.path is not None]
         assert len(timing_paths) == 2
         # Component contracts are named C^<viewpoint>[<node>]; each must
@@ -170,10 +175,10 @@ class TestSubstitutionMemo:
         mt, spec = problem
         checker = RefinementChecker(mt, spec)
         candidate = _candidate(mt, "w1", "w_slow")
-        plan = checker.candidate_plan(candidate)
+        _assignment, _paths, entries = checker.plan_outline(candidate)
         violations = checker.check_all(candidate)
         # Every violation corresponds to a plan entry, in plan order.
-        plan_ids = [(c.spec.name, c.path) for c in plan]
+        plan_ids = [entry.pair_id for entry in entries]
         violation_ids = [
             (v.viewpoint.name, v.path) for v in violations
         ]

@@ -83,31 +83,26 @@ class TestJobResult:
 
 
 class TestEngineOverrides:
-    def test_overrides_do_not_enter_job_id(self):
-        spec = JobSpec("epn", sizes={"left": 1}, engine={"max_iterations": 50})
+    def test_time_limit_override_does_not_enter_job_id(self):
+        spec = JobSpec("epn", sizes={"left": 1}, engine={"time_limit": 50.0})
         baseline = spec.job_id
-        explorer = spec.make_explorer(engine_overrides={"max_iterations": 5})
-        assert explorer.max_iterations == 5
-        assert spec.engine == {"max_iterations": 50}  # spec untouched
+        explorer = spec.make_explorer(time_limit=5.0)
+        assert explorer.time_limit == 5.0
+        assert spec.engine == {"time_limit": 50.0}  # spec untouched
         assert spec.job_id == baseline
 
+    def test_spec_time_limit_kept_without_override(self):
+        spec = JobSpec("epn", sizes={"left": 1}, engine={"time_limit": 50.0})
+        assert spec.make_explorer().time_limit == 50.0
+
     def test_engine_levers_flow_through_by_default(self):
-        spec = JobSpec("epn", sizes={"left": 1}, engine={"multicut": False})
-        assert spec.make_explorer().multicut is False
+        spec = JobSpec("epn", sizes={"left": 1}, engine={"incremental": False})
+        assert spec.make_explorer().incremental is False
 
     def test_engine_levers_distinguish_job_ids(self):
         base = JobSpec("epn", sizes={"left": 1})
-        tuned = JobSpec("epn", sizes={"left": 1}, engine={"multicut": False})
+        tuned = JobSpec("epn", sizes={"left": 1}, engine={"incremental": False})
         assert base.job_id != tuned.job_id
-
-    def test_incremental_verify_override_keeps_job_id(self):
-        spec = JobSpec("epn", sizes={"left": 1})
-        baseline = spec.job_id
-        explorer = spec.make_explorer(
-            engine_overrides={"incremental_verify": False}
-        )
-        assert explorer.incremental_verify is False
-        assert spec.job_id == baseline
 
 
 class TestEngineKeyValidation:
@@ -117,7 +112,16 @@ class TestEngineKeyValidation:
 
     @pytest.mark.parametrize(
         "key",
-        ["workers", "portfolio", "portfolio_state", "matcher", "max_embeddings"],
+        [
+            "workers",
+            "portfolio",
+            "portfolio_state",
+            "matcher",
+            "max_embeddings",
+            "multicut",
+            "incremental_verify",
+            "check_assumptions",
+        ],
     )
     def test_retired_keys_rejected(self, key):
         with pytest.raises(ExplorationError, match=key):
@@ -151,10 +155,9 @@ class TestEngineKeyValidation:
                 "backend": "scipy",
                 "max_iterations": 100,
                 "incremental": False,
-                "multicut": False,
             },
         )
         explorer = spec.make_explorer()
         assert "backend" not in spec.engine_kwargs()
         assert explorer.use_decomposition is False
-        assert explorer.multicut is False
+        assert explorer.incremental is False

@@ -1,6 +1,7 @@
 """Worker-process cache lifecycle: store teardown and corrupt-DB degradation."""
 
 import os
+import shutil
 
 import pytest
 
@@ -39,6 +40,30 @@ class TestStoreTeardown:
         oracle = worker._oracle_for(str(tmp_path / "b.db"), use_cache=True)
         oracle.close()
         oracle.close()  # store already detached: no-op
+
+
+class TestPooledStoreTeardown:
+    def test_pool_close_leaves_a_self_contained_cache(self, tmp_path):
+        # Pool workers skip atexit handlers; their finalizer must close
+        # the store so every answer is checkpointed into oracle.db.
+        path = tmp_path / "oracle.db"
+        specs = [
+            _tiny_spec(),
+            JobSpec("epn", sizes={"left": 1, "right": 0, "apu": 0}),
+        ]
+        with Scheduler(max_workers=1, cache_path=str(path)) as scheduler:
+            cold = scheduler.run(specs)
+        assert [r.status for r in cold] == ["optimal", "optimal"]
+        assert all(r.cache["misses"] > 0 for r in cold)
+        assert not os.path.exists(f"{path}-wal")
+        assert not os.path.exists(f"{path}-shm")
+        copy = tmp_path / "copy" / "oracle.db"
+        copy.parent.mkdir()
+        shutil.copyfile(path, copy)
+        warm = Scheduler(serial=True, cache_path=str(copy)).run(specs)
+        assert [r.status for r in warm] == ["optimal", "optimal"]
+        assert [r.cache["misses"] for r in warm] == [0, 0]
+        assert all(r.cache["hits"] > 0 for r in warm)
 
 
 class TestCorruptCacheDegradation:

@@ -74,15 +74,19 @@ class TestSubmitAndPoll:
             client._request("POST", "/jobs", {"spec": {"sizes": {}}})
         assert excinfo.value.status == 400
 
+    # A misspelling, and the engine switches retired since.
+    @pytest.mark.parametrize(
+        "key", ["wrokers", "multicut", "incremental_verify", "check_assumptions"]
+    )
     def test_unknown_engine_key_is_400_and_journals_nothing(
-        self, client, server
+        self, client, server, key
     ):
         spec = _tiny_spec().to_dict()
-        spec["engine"]["wrokers"] = 2
+        spec["engine"][key] = 2
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/jobs", {"spec": spec, "namespace": "ci"})
         assert excinfo.value.status == 400
-        assert "wrokers" in str(excinfo.value)
+        assert key in str(excinfo.value)
         assert server.queue.depth() == 0
         # The spec was refused before its namespace was even opened.
         assert not os.path.exists(os.path.join(server.store.data_dir, "ci"))
