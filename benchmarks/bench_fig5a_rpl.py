@@ -47,11 +47,7 @@ _RESULTS = {}
 def _run_contrarc(n):
     mt, spec = rpl.build_problem(n, n)
     return ContrArcExplorer(
-        mt,
-        spec,
-        max_iterations=5000,
-        time_limit=scenario_time_limit(),
-        profile=True,
+        mt, spec, max_iterations=5000, time_limit=scenario_time_limit()
     ).explore()
 
 

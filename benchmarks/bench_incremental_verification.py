@@ -7,11 +7,9 @@ here):
 
 * ``scratch-cold``  — the walk's slicing step off, fresh oracle: every
   (viewpoint, path) pair substituted, composed, hashed and solved anew
-  each iteration (the ``--no-incremental`` verification behaviour). The
-  candidate MILP keeps its incremental session, as in the other arms:
-  the stateless ``--no-incremental`` solve breaks cost ties differently
-  (14 instead of 15 iterations on EPN (2,1,1) decomposition), and the
-  arms must verify the same candidates to be compared.
+  each iteration. Every arm solves the candidate MILP through the
+  engine's one persistent solver session, so all three verify the same
+  candidates and can be compared.
 * ``sliced-cold``   — dependency-sliced walk, fresh oracle: unchanged
   slices carry verdicts forward inside the run; provenance counts show
   how much of the plan that covers from a cold start.

@@ -56,7 +56,6 @@ def _run(template, scenario):
         spec,
         max_iterations=20000,
         time_limit=scenario_time_limit(),
-        profile=True,
         **SCENARIOS[scenario],
     )
     return explorer.explore()

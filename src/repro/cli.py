@@ -118,12 +118,6 @@ def _spec_from_args(case: str, args, **engine) -> "JobSpec":
     if hasattr(args, "no_isomorphism"):  # see _add_lever_flags
         engine["use_isomorphism"] = not args.no_isomorphism
         engine["use_decomposition"] = not args.no_decomposition
-    # Non-default engine levers only, so default invocations keep their
-    # historical job ids.
-    if getattr(args, "no_incremental", False):
-        engine["incremental"] = False
-    if getattr(args, "profile", False):
-        engine["profile"] = True
     return JobSpec(case, sizes=sizes, problem=problem, engine=engine)
 
 
@@ -151,26 +145,6 @@ def _add_lever_flags(parser: argparse.ArgumentParser) -> None:
         "--no-decomposition",
         action="store_true",
         help="disable path-by-path refinement checking",
-    )
-
-
-def _add_incremental_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--incremental",
-        dest="no_incremental",
-        action="store_false",
-        default=False,
-        help="enable incremental re-use across iterations (persistent "
-        "solver session + dependency-sliced verification carrying); "
-        "this is the default",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        dest="no_incremental",
-        action="store_true",
-        default=False,
-        help="disable incremental re-use: stateless solver re-solves and "
-        "from-scratch verification of every (viewpoint, path) pair",
     )
 
 
@@ -289,8 +263,7 @@ def _print_phase_profile(profile: dict) -> None:
 def _print_result(result, dot_path: Optional[str], explorer) -> int:
     print(f"status:     {result.status.value}")
     if result.status is not ExplorationStatus.OPTIMAL:
-        if result.stats.phase_profile:
-            _print_phase_profile(result.stats.phase_profile)
+        _print_phase_profile(result.stats.phase_profile)
         return 1
     print(f"cost:       {result.cost:g}")
     print(f"iterations: {result.stats.num_iterations}")
@@ -299,8 +272,7 @@ def _print_result(result, dot_path: Optional[str], explorer) -> int:
           f"{result.stats.milp_constraints} constraints "
           f"(final {result.stats.final_milp_variables} x "
           f"{result.stats.final_milp_constraints})")
-    if result.stats.phase_profile:
-        _print_phase_profile(result.stats.phase_profile)
+    _print_phase_profile(result.stats.phase_profile)
     print("selected implementations:")
     for name in sorted(result.architecture.selected_impls):
         impl = result.architecture.implementation_of(name)
@@ -607,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_lever_flags(explore_cmd)
         _add_limit_flags(explore_cmd)
         explore_cmd.add_argument(
-            "--profile",
-            action="store_true",
-            help="collect and print a per-phase wall-clock breakdown",
-        )
-        _add_incremental_flags(explore_cmd)
-        explore_cmd.add_argument(
             "--dot",
             metavar="FILE",
             help="write the selected architecture as DOT",
@@ -631,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_case_flags(t2_cmd, "epn", problem=False)
     _add_limit_flags(t2_cmd)
-    _add_incremental_flags(t2_cmd)
     t2_cmd.add_argument(
         "--json",
         action="store_true",

@@ -22,12 +22,12 @@ The two scalability levers of the paper map to constructor flags:
 ``use_isomorphism`` (certificate generalization over embeddings +
 implementation widening) and ``use_decomposition`` (path-by-path
 refinement). Table II's three scenarios are
-``(True, False)``, ``(False, True)`` and ``(True, True)``. A third
-flag, ``incremental`` (on by default), reuses work across iterations
-without changing any answer: one persistent HiGHS session for
-Problem 2 and dependency-sliced carrying of unchanged refinement
-verdicts. Every violation Algorithm 1 finds in a candidate becomes
-certificates in the same iteration.
+``(True, False)``, ``(False, True)`` and ``(True, True)``. Every run
+reuses work across iterations: one persistent HiGHS session solves
+Problem 2 (:mod:`repro.solver.session`) and the checker carries
+unchanged refinement verdicts forward by dependency slicing
+(:mod:`repro.explore.incremental`). Every violation Algorithm 1 finds
+in a candidate becomes certificates in the same iteration.
 
 Cuts enter the MILP lazily (:class:`repro.explore.cut_pool.CutPool`).
 Of the cuts Algorithm 2 emits in an iteration, only those the current
@@ -39,15 +39,15 @@ to refinement. A candidate that violates a pooled cut shows the pool
 binds at the cost frontier (iso images of a fragment are same-cost
 alternatives on EPN): the whole pool is encoded, the MILP re-solved in
 the same iteration, and from then on every new cut is encoded on
-emission. Rows are only ever appended, so the incremental session
-extends in place either way.
+emission. Rows are only ever appended, so the session extends in
+place either way.
 """
 
 from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Set
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Set
 
 from repro.exceptions import ExplorationError, NoFeasibleArchitectureError
 from repro.arch.architecture import CandidateArchitecture
@@ -63,10 +63,8 @@ from repro.obs.trace import Tracer
 # Not called here (cuts are deduplicated on their row keys), but
 # benchmarks/harness/layers.py patches this module's ``formula_key``.
 from repro.runtime.keys import formula_key  # noqa: F401
-from repro.solver import scipy_backend
 from repro.solver.encoder import FormulaEncoder
-from repro.solver.model import Model
-from repro.solver.result import SolveResult, SolveStatus
+from repro.solver.result import SolveStatus
 from repro.solver.session import IncrementalSession
 from repro.spec.base import Specification
 
@@ -178,8 +176,6 @@ class ContrArcExplorer:
         max_iterations: int = 1000,
         time_limit: Optional[float] = None,
         oracle=None,
-        incremental: bool = True,
-        profile: bool = False,
         tracer=None,
     ) -> None:
         #: Optional memoizing oracle (see
@@ -187,14 +183,6 @@ class ContrArcExplorer:
         #: refinement queries and candidate-MILP solves from cache —
         #: the warm-start seam of the batch runtime.
         self.oracle = oracle
-        #: Reuse work across iterations: one persistent HiGHS instance
-        #: (see repro.solver.session) and dependency-sliced verification
-        #: carrying (see repro.explore.incremental). Results are
-        #: identical either way.
-        self.incremental = incremental
-        #: Store the run's per-phase breakdown (seconds, span counts,
-        #: event counters) in ``stats.phase_profile``.
-        self.profile = profile
         #: Optional :class:`repro.obs.trace.Tracer`. Every explore()
         #: call records a ``run -> iteration -> phase -> query`` span
         #: tree; a bound tracer also sends it, and a metrics snapshot,
@@ -229,7 +217,7 @@ class ContrArcExplorer:
             specification,
             decompose=use_decomposition,
             oracle=checker_oracle,
-            incremental=incremental,
+            incremental=True,
         )
 
     # -- main loop -------------------------------------------------------------
@@ -244,7 +232,8 @@ class ContrArcExplorer:
         The run is timed by its phase spans only: ``self.tracer``, or a
         fresh sink-less :class:`~repro.obs.trace.Tracer` when none is
         bound. Per-iteration times, ``stats.total_time`` and
-        ``stats.phase_profile`` are all read back from those spans.
+        ``stats.phase_profile`` (per-phase seconds and span counts, plus
+        the event counters) are all read back from those spans.
         """
         if k < 1:
             raise ExplorationError("k must be at least 1")
@@ -268,13 +257,17 @@ class ContrArcExplorer:
             "run",
             use_isomorphism=self.use_isomorphism,
             use_decomposition=self.use_decomposition,
-            incremental=self.incremental,
         ) as run:
             # The contract encoding never changes across iterations; build
             # it once and keep appending certificate constraints to it.
             model = build_candidate_milp(self.mapping_template, self.specification)
             cut_encoder = FormulaEncoder(model, prefix="cut")
-            solve = self._candidate_solver(model, tracer)
+            # The session times its own matrix_build / milp_solve split.
+            session = IncrementalSession(model)
+            session.tracer = tracer
+            solve = session.as_solver()
+            if self.oracle is not None:
+                solve = self.oracle.wrap_solver("scipy", solve)
             for index in range(1, self.max_iterations + 1):
                 if (
                     self.time_limit is not None
@@ -425,35 +418,8 @@ class ContrArcExplorer:
                 cuts=stats.total_cuts,
             )
         stats.total_time = run.duration
-        if self.profile:
-            stats.phase_profile = _phase_profile(metrics, metrics_before)
+        stats.phase_profile = _phase_profile(metrics, metrics_before)
         return ExplorationResult(status, architectures, stats, cuts, last_violation)
-
-    def _candidate_solver(
-        self, model: Model, tracer: Tracer
-    ) -> Callable[[Model], SolveResult]:
-        """Problem 2's solve function, memoized by the oracle if any.
-
-        An incremental session times its own ``matrix_build`` /
-        ``milp_solve`` split; a stateless solve's whole call, oracle
-        lookup included, is one ``milp_solve`` phase.
-        """
-        if self.incremental:
-            session = IncrementalSession(model)
-            session.tracer = tracer
-            solve = session.as_solver()
-        else:
-            solve = scipy_backend.solve
-        if self.oracle is not None:
-            solve = self.oracle.wrap_solver("scipy", solve)
-        if self.incremental:
-            return solve
-
-        def timed(model: Model) -> SolveResult:
-            with tracer.phase("milp_solve"):
-                return solve(model)
-
-        return timed
 
     def explore_or_raise(self) -> ExplorationResult:
         """Like :meth:`explore` but raises when no architecture exists."""

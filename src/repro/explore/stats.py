@@ -114,9 +114,9 @@ class ExplorationStats:
         self.final_milp_variables: int = 0
         self.final_milp_constraints: int = 0
         self.total_cuts: int = 0
-        #: Per-phase breakdown when the run was profiled: ``{"totals":
-        #: seconds, "counts": spans, "counters": events}``, the run's
-        #: delta of its tracer's metrics.
+        #: Per-phase breakdown of the run: ``{"totals": seconds,
+        #: "counts": spans, "counters": events}``, the run's delta of its
+        #: tracer's metrics. ``None`` only in records that predate it.
         self.phase_profile: Optional[Dict[str, Any]] = None
         #: Oracle cache hit/miss/store/uncacheable totals for this run
         #: (the engine records the per-run delta of the checker's

@@ -24,8 +24,8 @@ The dashboard and diff modules are imported lazily by the CLI — this
 package's eager surface stays limited to tracing and metrics.
 
 Every exploration runs under a :class:`Tracer`: its phase spans are
-the only timer behind ``stats`` and ``--profile``. Without a bound
-tracer the engine uses a sink-less one; ``--trace PATH
+the only timer behind ``stats``, ``phase_profile`` included. Without a
+bound tracer the engine uses a sink-less one; ``--trace PATH
 [--trace-format {jsonl,chrome}]`` on the
 ``rpl``/``epn``/``wsn``/``table2`` commands, or
 ``ContrArcExplorer(..., tracer=Tracer(...))``, adds sinks that record

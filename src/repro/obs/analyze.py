@@ -505,7 +505,7 @@ def _cache_table(analysis: Analysis) -> str:
 def _verification_table(analysis: Analysis) -> str:
     stats = analysis.verification
     if stats is None:
-        return "no verification-reuse counters (run without --no-incremental)"
+        return "no verification-reuse counters (no refinement checks traced)"
     rows: List[List[Any]] = []
     for label, count in (
         ("verified (solver)", stats.verified),

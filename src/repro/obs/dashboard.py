@@ -277,7 +277,7 @@ def _reuse_bar(analysis: Analysis) -> str:
     if stats is None or not stats.checks:
         return (
             '<p class="empty">no verification-reuse counters '
-            "(run without --no-incremental)</p>"
+            "(no refinement checks traced)</p>"
         )
     doc = _Doc()
     doc.add(

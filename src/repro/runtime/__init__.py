@@ -11,8 +11,8 @@ workload:
   refinement/satisfiability queries and candidate MILP solves;
 * :mod:`repro.runtime.store`     — SQLite persistence so repeated
   sweeps warm-start;
-* :mod:`repro.runtime.keys`      — canonical hashing of formulas,
-  contracts and MILP matrices;
+* :mod:`repro.runtime.keys`      — canonical hashing of formulas and
+  MILP matrices;
 * :mod:`repro.runtime.telemetry` — structured JSONL run events;
 * :mod:`repro.runtime.ledger`    — durable run ledger over the journal
   (``sweep --resume``);
@@ -31,8 +31,6 @@ from repro.runtime.ledger import (
 )
 from repro.runtime.keys import (
     canonical_formula,
-    contract_key,
-    contract_pair_key,
     formula_key,
     model_key,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "load_ledger",
     "plan_resume",
     "canonical_formula",
-    "contract_key",
-    "contract_pair_key",
     "formula_key",
     "model_key",
     "OracleCache",

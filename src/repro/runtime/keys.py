@@ -37,7 +37,6 @@ import hashlib
 import weakref
 from typing import Callable, Dict, List, Optional
 
-from repro.contracts.contract import Contract
 from repro.expr.constraints import (
     And,
     BoolAtom,
@@ -131,35 +130,6 @@ def formula_key(
     """
     big_m = "" if default_big_m is None else _num(default_big_m)
     return _digest("sat", backend, big_m, canonical_formula(formula))
-
-
-def contract_key(contract: Contract) -> str:
-    """Cache key for a contract's (assumptions, guarantees) pair.
-
-    The contract *name* is excluded: two contracts with identical
-    formulas are the same query regardless of labeling.
-    """
-    return _digest(
-        "contract",
-        canonical_formula(contract.assumptions),
-        canonical_formula(contract.guarantees),
-    )
-
-
-def contract_pair_key(
-    concrete: Contract,
-    abstract: Contract,
-    check_assumptions: bool,
-    saturate_concrete: bool,
-) -> str:
-    """Cache key for one refinement query ``concrete <= abstract``."""
-    return _digest(
-        "refines",
-        contract_key(concrete),
-        contract_key(abstract),
-        f"a={int(check_assumptions)}",
-        f"s={int(saturate_concrete)}",
-    )
 
 
 class _KeyMemo:

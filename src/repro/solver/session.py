@@ -30,9 +30,9 @@ candidate MILP changes which tied optimum HiGHS returns; RPL(3,3) then
 takes 19 iterations and 7,776 cuts instead of 18 and 7,290.
 
 Sessions affect *how fast* a solve finishes, never its result: the
-regression suite pins incremental-vs-scratch equality, and cache keys
-(:mod:`repro.runtime.keys`) hash mathematical content only, so oracle
-caching is blind to session reuse.
+regression suite pins equality with from-scratch HiGHS solves, and
+cache keys (:mod:`repro.runtime.keys`) hash mathematical content only,
+so oracle caching is blind to session reuse.
 """
 
 from __future__ import annotations
@@ -112,20 +112,18 @@ class IncrementalSession:
         return result
 
     def as_solver(self) -> Callable[[Model], SolveResult]:
-        """Adapt to the ``solve(model)`` backend signature.
+        """Adapt to the ``solve(model)`` backend signature, for the
+        bound model only.
 
-        The returned callable routes solves of the bound model through
-        the session and anything else (defensive case — the exploration
-        loop only ever passes one model) through the stateless backend.
         This keeps the oracle seam unchanged:
         ``oracle.wrap_solver("scipy", session.as_solver())`` caches on
         ``model_key`` exactly as it would around the plain backend.
         """
 
         def solve(model: Model) -> SolveResult:
-            if model is self.model:
-                return self.solve()
-            return scipy_backend.solve(model)
+            if model is not self.model:
+                raise ValueError("a session solves only the model it is bound to")
+            return self.solve()
 
         return solve
 

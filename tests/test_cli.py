@@ -39,6 +39,16 @@ class TestParser:
             build_parser().parse_args(["epn", "--no-multicut"])
         assert "unrecognized arguments: --no-multicut" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rpl", "epn", "wsn", "table2"])
+    @pytest.mark.parametrize(
+        "flag", ["--incremental", "--no-incremental", "--profile"]
+    )
+    def test_incremental_and_profile_flags_retired(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_rpl_run(self, capsys, tmp_path):
@@ -127,19 +137,6 @@ class TestJsonOutput:
         record = json.loads(capsys.readouterr().out)
         assert record["job_id"] == JobSpec.from_dict(record["spec"]).job_id
 
-    def test_no_incremental_enters_the_spec(self, capsys):
-        # --no-incremental is a real engine lever
-        # (stateless solves can tie-break degenerate MILPs differently),
-        # so it must distinguish job ids.
-        import json
-
-        main(["rpl", "--n-a", "1", "--json"])
-        plain = json.loads(capsys.readouterr().out)
-        main(["rpl", "--n-a", "1", "--no-incremental", "--json"])
-        scratch = json.loads(capsys.readouterr().out)
-        assert scratch["spec"]["engine"]["incremental"] is False
-        assert scratch["job_id"] != plain["job_id"]
-
     def test_default_run_reports_verification_provenance(self, capsys):
         import json
 
@@ -169,9 +166,7 @@ class TestJsonOutput:
 #: command moved onto one JobSpec path; they must never drift.
 PINNED_JOB_IDS = [
     (["rpl", "--n-a", "1"], "0805bf4021423fd5"),
-    (["rpl", "--n-a", "1", "--no-incremental"], "2d13fcda8b5cd79d"),
     (["epn", "--left", "1", "--right", "0"], "0d62c3f5b3fb0792"),
-    (["epn", "--left", "1", "--right", "0", "--profile"], "f61d4841635ee5e6"),
     (["wsn", "--tiers", "1"], "fdc0940d712683b9"),
     (
         ["table2", "--left", "1", "--right", "0", "--apu", "0"],
@@ -346,7 +341,7 @@ class TestSweep:
 
 class TestTracing:
     def _phase_lines(self, out):
-        # "  <name>  x.xxxs  (Nx)" rows from the --profile table, reduced
+        # "  <name>  x.xxxs  (Nx)" rows from the phase table, reduced
         # to (name, calls) so wall-clock jitter cannot break the test.
         import re
 
@@ -447,10 +442,10 @@ class TestTracing:
         assert "one trace" in capsys.readouterr().err
 
     def test_profile_output_is_stable_under_tracing(self, capsys, tmp_path):
-        # Golden check: --profile's phase table must list the same
+        # Golden check: the summary's phase table must list the same
         # phases with the same call counts whether or not --trace rides
         # along (--trace only adds a sink to the same phase spans).
-        argv = ["epn", "--left", "1", "--right", "0", "--profile"]
+        argv = ["epn", "--left", "1", "--right", "0"]
         assert main(argv) == 0
         plain = self._phase_lines(capsys.readouterr().out)
         trace = str(tmp_path / "trace.jsonl")

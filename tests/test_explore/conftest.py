@@ -11,6 +11,7 @@ from repro.arch.component import Component, ComponentType
 from repro.arch.library import Library
 from repro.arch.template import MappingTemplate, Template
 from repro.contracts.viewpoints import FLOW, TIMING
+from repro.solver import scipy_backend
 from repro.spec.base import Specification
 from repro.spec.flow import FlowSpec
 from repro.spec.interconnection import InterconnectionSpec
@@ -101,3 +102,20 @@ def impossible_problem():
     template = build_template()
     mt = MappingTemplate(template, build_library(), time_bound=100.0)
     return mt, build_spec(deadline=1.0)
+
+
+class ScratchSession:
+    """Stand-in for :class:`repro.solver.session.IncrementalSession`
+    whose solver re-solves every candidate MILP from scratch.
+
+    Patched over ``repro.explore.engine.IncrementalSession``, it gives
+    the stateless reference route the persistent session is checked
+    against. Its solves open no phase spans.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.tracer = None
+
+    def as_solver(self):
+        return scipy_backend.solve

@@ -48,10 +48,7 @@ def _run(name, builder, milp_fallback):
             if milp_fallback:
                 patch.setattr(scipy_backend, "_highs_core", None)
             result = ContrArcExplorer(
-                mapping_template,
-                specification,
-                max_iterations=2000,
-                profile=True,
+                mapping_template, specification, max_iterations=2000
             ).explore()
         _RUNS[name] = (result, mapping_template, specification)
     return _RUNS[name]

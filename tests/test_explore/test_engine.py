@@ -111,8 +111,7 @@ class TestEdgeOutcomes:
         with pytest.raises(ExplorationError, match="converge"):
             explorer.explore_or_raise()
 
-    @pytest.mark.parametrize("incremental", [True, False], ids=["session", "stateless"])
-    def test_run_stops_at_its_time_limit(self, problem, monkeypatch, incremental):
+    def test_run_stops_at_its_time_limit(self, problem, monkeypatch):
         """A run whose time budget has passed ends with TIME_LIMIT before
         its next candidate solve, not with an error or a hang."""
         import time
@@ -131,9 +130,7 @@ class TestEdgeOutcomes:
             return build(*args)
 
         monkeypatch.setattr(engine, "build_candidate_milp", build_then_jump)
-        explorer = ContrArcExplorer(
-            mt, spec, incremental=incremental, time_limit=3600.0
-        )
+        explorer = ContrArcExplorer(mt, spec, time_limit=3600.0)
         result = explorer.explore()
         assert result.status is ExplorationStatus.TIME_LIMIT
         assert result.stats.num_iterations == 0

@@ -1,9 +1,10 @@
 """Regression: the incremental solve path changes speed, never answers.
 
 Pins that exploring with the persistent solver session returns the same
-status and optimal cost as stateless from-scratch solves on the RPL and
-EPN grids, with the returned architecture verified violation-free both
-ways. Exact per-solve assignment equality on *identical* queries is
+status and optimal cost as stateless from-scratch HiGHS solves (the
+engine's session replaced by :class:`ScratchSession`, a test-only
+reference route) on the RPL and EPN grids, with the returned
+architecture verified violation-free both ways. Exact per-solve assignment equality on *identical* queries is
 pinned at the solver level (tests/test_solver/test_session.py); at the
 exploration level the candidate MILPs are frequently degenerate, so the
 particular co-optimal vertex — and hence the tie-broken cut trajectory —
@@ -15,6 +16,7 @@ mathematics) are unchanged by routing solves through a session.
 
 import pytest
 
+import repro.explore.engine as engine
 from repro.casestudies import epn, rpl
 from repro.explore.encoding import build_candidate_milp
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
@@ -23,25 +25,25 @@ from repro.runtime.oracle import OracleCache
 from repro.solver import scipy_backend
 from repro.solver.feasibility import get_backend
 from repro.solver.session import IncrementalSession
+from tests.test_explore.conftest import ScratchSession
 
 RPL_GRID = [1, 2]
 EPN_GRID = [(1, 0, 0), (1, 1, 0)]
 
 
-def _explore(builder, incremental):
+def _explore(builder):
     mapping_template, specification = builder()
     result = ContrArcExplorer(
-        mapping_template,
-        specification,
-        incremental=incremental,
-        max_iterations=2000,
+        mapping_template, specification, max_iterations=2000
     ).explore()
     return result, mapping_template, specification
 
 
 def _assert_equivalent(builder):
-    incremental, mt_inc, spec_inc = _explore(builder, True)
-    scratch, mt_scr, spec_scr = _explore(builder, False)
+    incremental, mt_inc, spec_inc = _explore(builder)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "IncrementalSession", ScratchSession)
+        scratch, mt_scr, spec_scr = _explore(builder)
     assert incremental.status is ExplorationStatus.OPTIMAL
     assert scratch.status is ExplorationStatus.OPTIMAL
     assert incremental.cost == pytest.approx(scratch.cost)

@@ -19,6 +19,7 @@ from repro.casestudies import epn
 from repro.explore.engine import ContrArcExplorer, ExplorationStatus
 from repro.obs import InMemorySink, Tracer
 from repro.obs.analyze import Trace, phase_totals
+from repro.runtime.ledger import canonical_record
 
 from tests.test_explore.conftest import build_library, build_spec, build_template
 
@@ -37,12 +38,7 @@ def _traced_run():
     mapping_template, specification = _problem()
     sink = InMemorySink()
     tracer = Tracer([sink])
-    explorer = ContrArcExplorer(
-        mapping_template,
-        specification,
-        profile=True,
-        tracer=tracer,
-    )
+    explorer = ContrArcExplorer(mapping_template, specification, tracer=tracer)
     result = explorer.explore()
     tracer.finish()
     return result, Trace(sink.spans, metrics=sink.metrics, meta=sink.meta)
@@ -169,17 +165,29 @@ class TestNonInterference:
         assert plain.cost == traced_result.cost
         assert plain.stats.num_iterations == traced_result.stats.num_iterations
 
-    def test_trace_only_run_keeps_json_stats_shape(self):
-        # --trace without --profile must not grow the stats record with
-        # a phase_profile section.
+    def test_every_run_profiles_its_own_phases(self):
+        # Two runs on one tracer: each run's phase_profile holds that
+        # run's phase spans only, and stays out of the canonical record.
         mapping_template, specification = _problem()
-        tracer = Tracer([InMemorySink()])
-        result = ContrArcExplorer(
-            mapping_template, specification, tracer=tracer
-        ).explore()
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        explorer = ContrArcExplorer(mapping_template, specification, tracer=tracer)
+        for _ in range(2):
+            first_span = len(sink.spans)
+            result = explorer.explore()
+            profile = result.stats.phase_profile
+            trace_totals = phase_totals(Trace(sink.spans[first_span:]))
+            assert set(trace_totals) == set(profile["totals"])
+            for name, (seconds, calls) in trace_totals.items():
+                assert calls == profile["counts"][name]
+                assert seconds == pytest.approx(profile["totals"][name]), name
+            stats = result.stats.to_dict()
+            bare = dict(stats)
+            del bare["phase_profile"]
+            assert canonical_record({"stats": stats}) == canonical_record(
+                {"stats": bare}
+            )
         tracer.finish()
-        assert result.stats.phase_profile is None
-        assert result.stats.oracle_cache is not None
 
 
 class TestStatsSurface:

@@ -96,12 +96,16 @@ class TestEngineOverrides:
         assert spec.make_explorer().time_limit == 50.0
 
     def test_engine_levers_flow_through_by_default(self):
-        spec = JobSpec("epn", sizes={"left": 1}, engine={"incremental": False})
-        assert spec.make_explorer().incremental is False
+        spec = JobSpec(
+            "epn", sizes={"left": 1}, engine={"widen_implementations": False}
+        )
+        assert spec.make_explorer().widen_implementations is False
 
     def test_engine_levers_distinguish_job_ids(self):
         base = JobSpec("epn", sizes={"left": 1})
-        tuned = JobSpec("epn", sizes={"left": 1}, engine={"incremental": False})
+        tuned = JobSpec(
+            "epn", sizes={"left": 1}, engine={"widen_implementations": False}
+        )
         assert base.job_id != tuned.job_id
 
 
@@ -121,6 +125,8 @@ class TestEngineKeyValidation:
             "multicut",
             "incremental_verify",
             "check_assumptions",
+            "incremental",
+            "profile",
         ],
     )
     def test_retired_keys_rejected(self, key):
@@ -154,10 +160,10 @@ class TestEngineKeyValidation:
                 "scenario": "only-iso",
                 "backend": "scipy",
                 "max_iterations": 100,
-                "incremental": False,
+                "widen_implementations": False,
             },
         )
         explorer = spec.make_explorer()
         assert "backend" not in spec.engine_kwargs()
         assert explorer.use_decomposition is False
-        assert explorer.incremental is False
+        assert explorer.widen_implementations is False

@@ -20,15 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.casestudies import epn, rpl
-from repro.contracts.contract import Contract
 from repro.explore.encoding import build_candidate_milp
 from repro.expr.constraints import BoolAtom, Implies
 from repro.expr.terms import Domain, LinExpr, Var, binary, continuous
 from repro.runtime import keys
 from repro.runtime.keys import (
     canonical_formula,
-    contract_key,
-    contract_pair_key,
     formula_key,
     model_key,
 )
@@ -54,11 +51,9 @@ class TestStability:
     def test_same_contract_built_twice_same_key(self):
         comp1, sys1 = _first_viewpoint_contracts(rpl.build_problem, 1, 0)
         comp2, sys2 = _first_viewpoint_contracts(rpl.build_problem, 1, 0)
-        assert contract_key(comp1) == contract_key(comp2)
-        assert contract_key(sys1) == contract_key(sys2)
-        assert contract_pair_key(comp1, sys1, False, False) == contract_pair_key(
-            comp2, sys2, False, False
-        )
+        for first, second in ((comp1, comp2), (sys1, sys2)):
+            assert formula_key(first.assumptions) == formula_key(second.assumptions)
+            assert formula_key(first.guarantees) == formula_key(second.guarantees)
 
     def test_same_model_built_twice_same_key(self):
         m1 = build_candidate_milp(*epn.build_problem(1, 0, 0))
@@ -122,20 +117,6 @@ class TestSensitivity:
         f1 = continuous("x", 0, 10) <= 5
         f2 = continuous("x", 0, 99) <= 5
         assert formula_key(f1) != formula_key(f2)
-
-    def test_contract_name_excluded(self):
-        x = continuous("x", 0, 10)
-        c1 = Contract("first", x >= 1, x <= 5)
-        c2 = Contract("second", x >= 1, x <= 5)
-        assert contract_key(c1) == contract_key(c2)
-
-    def test_pair_key_depends_on_flags(self):
-        x = continuous("x", 0, 10)
-        c = Contract("c", x >= 1, x <= 5)
-        s = Contract("s", x >= 0, x <= 6)
-        assert contract_pair_key(c, s, True, True) != contract_pair_key(
-            c, s, False, True
-        )
 
     def test_boolean_structure_distinguished(self):
         a, b = binary("a"), binary("b")

@@ -76,7 +76,15 @@ class TestSubmitAndPoll:
 
     # A misspelling, and the engine switches retired since.
     @pytest.mark.parametrize(
-        "key", ["wrokers", "multicut", "incremental_verify", "check_assumptions"]
+        "key",
+        [
+            "wrokers",
+            "multicut",
+            "incremental_verify",
+            "check_assumptions",
+            "incremental",
+            "profile",
+        ],
     )
     def test_unknown_engine_key_is_400_and_journals_nothing(
         self, client, server, key

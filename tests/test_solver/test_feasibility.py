@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.explore.engine as engine
 from repro.exceptions import SolverError
 from repro.expr.constraints import BoolAtom, Implies, Or
 from repro.expr.terms import binary, continuous, integer
@@ -17,6 +18,7 @@ from repro.solver.feasibility import (
     is_unsat,
 )
 from repro.solver.result import SolveResult, SolveStatus
+from tests.test_explore.conftest import ScratchSession
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -137,19 +139,14 @@ class TestRecordedRefinementQueries:
             queries.setdefault(formula_key(formula), formula)
             return real(formula, *args, **kwargs)
 
-        specs = [
-            JobSpec(
-                "epn",
-                sizes={"left": 1, "right": 1, "apu": 0},
-                engine={"use_isomorphism": False},
-            ),
-            # Stateless: the candidate MILPs go through solve_matrix too.
-            JobSpec(
-                "rpl",
-                sizes={"n_a": 1, "n_b": 1},
-                engine={"scenario": "complete", "incremental": False},
-            ),
-        ]
+        session_spec = JobSpec(
+            "epn",
+            sizes={"left": 1, "right": 1, "apu": 0},
+            engine={"use_isomorphism": False},
+        )
+        stateless_spec = JobSpec(
+            "rpl", sizes={"n_a": 1, "n_b": 1}, engine={"scenario": "complete"}
+        )
         core = scipy_backend._highs_core
         with pytest.MonkeyPatch.context() as mp:
             # The explorer's oracle misses re-enter check_sat through
@@ -157,8 +154,10 @@ class TestRecordedRefinementQueries:
             mp.setattr(feasibility, "check_sat", record)
             if core is not None:
                 mp.setattr(core, "_Highs", _recording_highs(core._Highs, loads))
-            for spec in specs:
-                assert spec.make_explorer().explore().is_optimal
+            assert session_spec.make_explorer().explore().is_optimal
+            # Stateless: the candidate MILPs go through solve_matrix too.
+            mp.setattr(engine, "IncrementalSession", ScratchSession)
+            assert stateless_spec.make_explorer().explore().is_optimal
         return list(queries.values()), loads
 
     @pytest.fixture(scope="class")

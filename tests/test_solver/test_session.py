@@ -129,13 +129,12 @@ class TestSessionEquality:
 
 
 class TestSessionAsSolver:
-    def test_routes_other_models_through_stateless_backend(self):
+    def test_solves_the_bound_model_and_refuses_others(self):
         bound = _knapsack_model()
-        other = _knapsack_model()
         solve = IncrementalSession(bound).as_solver()
-        assert _fingerprint(solve(other)) == _fingerprint(
-            scipy_backend.solve(other)
-        )
+        assert _fingerprint(solve(bound)) == _fingerprint(scipy_backend.solve(bound))
+        with pytest.raises(ValueError, match="bound to"):
+            solve(_knapsack_model())
 
 
 class TestObjectivePlateau:
