@@ -14,14 +14,12 @@ model; :func:`solve_matrix` and the persistent session
 instance, so there is no module-level solver state to share between
 sweep or serve workers.
 
-A form whose objective is identically zero is a feasibility query: the
-refinement checks of Problem 3, contract consistency checks and IIS
-probes. For those HiGHS's feasibility-jump primal heuristic is switched
-off. It runs before the root LP and costs 8-14 ms on a query that the
-LP itself settles in under 1 ms; the verdict does not depend on it.
-Models with an objective keep HiGHS defaults, so the optimum HiGHS
-picks among ties — and with it every exploration trajectory — stays
-as it was.
+Every instance comes from :func:`new_highs`, with HiGHS's
+feasibility-jump primal heuristic off. It runs before the root LP: 8-14
+ms on a refinement query the LP settles in under 1 ms, and 5.9 of the
+7.2 ms of EPN(1,0,0)'s first candidate MILP (HiGHS 1.12), where its
+incumbent (44) is far from the optimum (20) the other heuristics find
+anyway. Costs do not depend on it; which tied optimum HiGHS returns does.
 
 On a scipy without the vendored binding (scipy < 1.15) the backend
 falls back to :func:`scipy.optimize.milp` with its default options.
@@ -105,6 +103,15 @@ def highs_lp(form: MatrixForm):
     return lp
 
 
+def new_highs():
+    """A fresh HiGHS instance with the options every solve shares (a HiGHS
+    without the feasibility-jump option answers ``kError``, keeping it)."""
+    h = _highs_core._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("mip_heuristic_run_feasibility_jump", False)
+    return h
+
+
 def solve_matrix(form: MatrixForm, time_limit: Optional[float] = None) -> SolveResult:
     """Solve a MILP in matrix form with HiGHS. Minimization."""
     if form.num_variables == 0:
@@ -121,7 +128,7 @@ def solve_matrix(form: MatrixForm, time_limit: Optional[float] = None) -> SolveR
         x = np.asarray(x, dtype=float)
         int_mask = form.integrality.astype(bool)
         x[int_mask] = np.round(x[int_mask])
-        assignment = {var: float(x[i]) for i, var in enumerate(form.variables)}
+        assignment = dict(zip(form.variables, x.tolist()))
         objective = float(form.objective @ x) + form.objective_constant
         return SolveResult(status, objective, assignment, message=message)
     return SolveResult(status, message=message)
@@ -130,16 +137,11 @@ def solve_matrix(form: MatrixForm, time_limit: Optional[float] = None) -> SolveR
 def _run_highs(form: MatrixForm, time_limit: Optional[float], presolve: bool) -> _Run:
     """One run of a fresh vendored HiGHS instance on ``form``."""
     core = _highs_core
-    h = core._Highs()
-    h.setOptionValue("output_flag", False)
+    h = new_highs()
     if time_limit is not None:
         h.setOptionValue("time_limit", float(time_limit))
     if not presolve:
         h.setOptionValue("presolve", "off")
-    if not np.any(form.objective):
-        # A feasibility query. HiGHS builds without the option answer
-        # kError, which leaves the defaults in place.
-        h.setOptionValue("mip_heuristic_run_feasibility_jump", False)
     if h.passModel(highs_lp(form)) == core.HighsStatus.kError:
         model_status = core.HighsModelStatus.kModelError
     else:

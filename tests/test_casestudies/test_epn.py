@@ -48,6 +48,30 @@ class TestGenerators:
         assert epn.TABLE2_TEMPLATES[-1] == (2, 2, 1)
 
 
+#: (cost, iterations, cuts) of complete ContrArc on each Table II
+#: template the benchmark's epn-grid workload runs.
+GRID_TRAJECTORIES = {
+    (1, 0, 0): (25.0, 7, 6),
+    (2, 0, 0): (30.0, 8, 224),
+    (1, 1, 0): (50.0, 7, 12),
+    (2, 1, 0): (55.0, 7, 231),
+    (1, 1, 1): (50.0, 5, 24),
+    (2, 1, 1): (55.0, 7, 300),
+}
+
+
+@pytest.mark.parametrize(
+    "sizes", sorted(GRID_TRAJECTORIES), ids=lambda s: ",".join(map(str, s))
+)
+def test_grid_trajectory_is_pinned(sizes):
+    """A solver speedup must do the same work: same cost, iterations, cuts."""
+    result = ContrArcExplorer(*epn.build_problem(*sizes)).explore()
+    stats = result.stats
+    assert (result.cost, stats.num_iterations, stats.total_cuts) == (
+        GRID_TRAJECTORIES[sizes]
+    )
+
+
 class TestExploration:
     def test_smallest_template_optimum(self):
         mt, spec = epn.build_problem(1, 0, 0)

@@ -204,6 +204,6 @@ def test_rpl_2_2_trajectory_is_pinned():
     result = ContrArcExplorer(mt, spec, max_iterations=200).explore()
     stats = result.stats
     assert result.cost == 51
-    assert stats.num_iterations == 18
-    assert stats.total_cuts == 960
-    assert stats.final_milp_constraints == 1096
+    assert stats.num_iterations == 19
+    assert stats.total_cuts == 1024
+    assert stats.final_milp_constraints == 1098

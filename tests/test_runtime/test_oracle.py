@@ -168,6 +168,23 @@ class TestEndToEnd:
         assert cached.cost == plain.cost
         assert cached.stats.num_iterations == plain.stats.num_iterations
 
+    @pytest.mark.parametrize("sizes", [(1, 0), (1, 1)])
+    def test_run_partly_answered_by_another_keeps_its_trajectory(self, sizes):
+        """A job whose first candidate MILPs another job already solved
+        (a shared disk oracle) must follow the uncached trajectory: its
+        session starts at a later model, not with other tie-breaks."""
+        plain = ContrArcExplorer(*rpl.build_problem(*sizes)).explore()
+        oracle = OracleCache()
+        ContrArcExplorer(
+            *rpl.build_problem(*sizes), oracle=oracle, max_iterations=1
+        ).explore()
+        hits = oracle.stats.hits
+        partly = ContrArcExplorer(*rpl.build_problem(*sizes), oracle=oracle).explore()
+        assert oracle.stats.hits > hits
+        assert partly.cost == plain.cost
+        assert partly.stats.num_iterations == plain.stats.num_iterations
+        assert partly.stats.total_cuts == plain.stats.total_cuts
+
 
 class TestStoreBatchedAccess:
     def test_get_many_and_put_many_roundtrip(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the SAT/UNSAT oracle across backends."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -104,22 +106,28 @@ class TestPlumbing:
 
 
 
-def _recording_highs(base, loads):
-    """A HiGHS class whose instances log, per loaded model, whether it
-    has an objective and which options were set on it."""
+def _recording_highs(base, instances):
+    """A HiGHS class that logs, per instance, the options set on it,
+    whether each loaded model has an objective, and whether rows were
+    appended."""
 
     class RecordingHighs(base):
         def __init__(self):
             super().__init__()
-            self.options = {}
+            self.log = SimpleNamespace(options={}, loads=[], appended=False)
+            instances.append(self.log)
 
         def setOptionValue(self, name, value):
-            self.options[name] = value
+            self.log.options[name] = value
             return super().setOptionValue(name, value)
 
         def passModel(self, lp):
-            loads.append((bool(np.any(lp.col_cost_)), self.options))
+            self.log.loads.append(bool(np.any(lp.col_cost_)))
             return super().passModel(lp)
+
+        def addRows(self, *args):
+            self.log.appended = True
+            return super().addRows(*args)
 
     return RecordingHighs
 
@@ -132,7 +140,7 @@ class TestRecordedRefinementQueries:
     @pytest.fixture(scope="class")
     def recorded(self):
         queries = {}
-        loads = []
+        instances = []
         real = feasibility.check_sat
 
         def record(formula, *args, **kwargs):
@@ -153,12 +161,12 @@ class TestRecordedRefinementQueries:
             # this module global, so each recorded call is one solve.
             mp.setattr(feasibility, "check_sat", record)
             if core is not None:
-                mp.setattr(core, "_Highs", _recording_highs(core._Highs, loads))
+                mp.setattr(core, "_Highs", _recording_highs(core._Highs, instances))
             assert session_spec.make_explorer().explore().is_optimal
             # Stateless: the candidate MILPs go through solve_matrix too.
             mp.setattr(engine, "IncrementalSession", ScratchSession)
             assert stateless_spec.make_explorer().explore().is_optimal
-        return list(queries.values()), loads
+        return list(queries.values()), instances
 
     @pytest.fixture(scope="class")
     def answers(self, recorded):
@@ -202,9 +210,14 @@ class TestRecordedRefinementQueries:
     @pytest.mark.skipif(
         scipy_backend._highs_core is None, reason="needs scipy's vendored HiGHS"
     )
-    def test_feasibility_jump_off_only_for_zero_objective(self, recorded):
-        _, loads = recorded
-        assert {has_objective for has_objective, _ in loads} == {True, False}
-        for has_objective, options in loads:
-            jump_off = options.get("mip_heuristic_run_feasibility_jump") is False
-            assert jump_off is not has_objective, options
+    def test_feasibility_jump_off_for_every_load(self, recorded):
+        _, instances = recorded
+        loaded = [h for h in instances if h.loads]
+        # The session's instance, stateless candidate MILPs (objective,
+        # no appends) and refinement queries (zero objective).
+        assert any(h.appended and all(h.loads) for h in loaded)
+        assert any(not h.appended and all(h.loads) for h in loaded)
+        assert any(not any(h.loads) for h in loaded)
+        for h in loaded:
+            assert h.options["mip_heuristic_run_feasibility_jump"] is False
+            assert h.options["output_flag"] is False
